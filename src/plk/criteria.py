@@ -28,8 +28,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import linalg, young
@@ -49,7 +49,7 @@ from .multivector import (
     wedge,
     wedge_terms,
 )
-from .young import comb0
+from .young import _signed_perms, comb0
 
 CRITERIA = ("classical", "dual", "improved", "dual-improved", "contraction", "optimal", "oracle")
 
@@ -229,15 +229,6 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
 
 
 # -- contraction criterion (polynomial identity testing) --------------------------
-
-
-@lru_cache(maxsize=None)
-def _signed_perms(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in permutations(range(m)):
-        inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
-        out.append((perm, -1 if inv & 1 else 1))
-    return tuple(out)
 
 
 def _symbolic_contraction(terms, n, m):

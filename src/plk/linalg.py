@@ -1,76 +1,76 @@
 """Exact rational linear algebra on small dense matrices.
 
-Matrices are lists of rows; entries are ``int`` or ``Fraction``.  Everything
-returns canonical objects (reduced row echelon form, RREF-derived kernels),
-so results are independent of input row order.
+Matrices are lists of rows; entries are ``int`` or ``Fraction``.  ``rref`` and
+``rank`` share one elimination.  Each row's denominators are cleared by their
+lcm, which keeps the row space; the echelon form is then built fraction-free
+in integers, each kept row divided by its content (gcd) so entries stay small,
+and ``rref`` divides once per entry at the end.  Results are canonical (reduced
+row echelon form, RREF-derived kernels), so independent of input row order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .multivector import Coeff
+
+
+def _cancel(a: list[int], b: list[int], c: int) -> list[int]:
+    """An integer multiple of ``a - (a[c] / b[c]) * b``, so zero at column c."""
+    g = gcd(a[c], b[c])
+    pv, f = b[c] // g, a[c] // g
+    return [pv * x - f * y for x, y in zip(a, b)]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _echelon(rows: list[list[Coeff]]) -> dict[int, list[int]]:
+    """Primitive integer rows spanning the row space, keyed by pivot column."""
+    ncols = len(rows[0]) if rows else 0
+    kept: dict[int, list[int]] = {}
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        a = [x.numerator * (d // x.denominator) for x in row]
+        c = next((j for j in range(ncols) if a[j]), ncols)
+        while c in kept:
+            a = _cancel(a, kept[c], c)
+            c = next((j for j in range(c + 1, ncols) if a[j]), ncols)
+        if c < ncols:
+            kept[c] = _primitive(a)
+            if len(kept) == ncols:
+                break
+    return kept
 
 
 def rref(rows: list[list[Coeff]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.
 
     Returns the nonzero rows (pivots normalized to 1, zeros above and below)
-    and the 0-based pivot column indices.
+    and the 0-based pivot column indices.  The integer echelon rows are
+    back-substituted in integers, then each entry is divided by its pivot.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    kept = _echelon(rows)
+    pivots = sorted(kept)
+    m = [kept[c] for c in pivots]
+    for i in range(len(m) - 1, 0, -1):
+        for k in range(i):
+            if m[k][pivots[i]]:
+                m[k] = _primitive(_cancel(m[k], m[i], pivots[i]))
+    return [[Fraction(x, row[c]) for x in row] for c, row in zip(pivots, m)], pivots
 
 
 def rank(rows: list[list[Coeff]]) -> int:
-    """Rank over the rationals; fraction-free elimination when all-integer."""
-    if not rows:
-        return 0
-    if all(isinstance(x, int) for row in rows for x in row):
-        m = [list(row) for row in rows]
-        ncols = len(m[0])
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            for i in range(r + 1, len(m)):
-                f = m[i][c]
-                if f:
-                    m[i] = [pv * a - f * b for a, b in zip(m[i], m[r])]
-            r += 1
-            if r == len(m):
-                break
-        return r
-    return len(rref(rows)[0])
+    """Rank over the rationals: the number of integer echelon rows."""
+    return len(_echelon(rows))
 
 
 def nullspace(rows: list[list[Coeff]], ncols: int) -> list[list[Fraction]]:
     """Canonical kernel basis of the linear map given by ``rows``."""
-    reduced, pivots = rref(rows) if rows else ([], [])
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

@@ -72,3 +72,101 @@ def test_intersection_dimension_formula():
         for vec in inter:
             assert linalg.rank(a + [vec]) == linalg.rank(a)
             assert linalg.rank(b + [vec]) == linalg.rank(b)
+
+
+# -- against an independent elimination ---------------------------------------------
+
+
+def gauss_jordan(rows):
+    """Textbook Fraction Gauss-Jordan, written here so the comparison does not
+    lean on plk.linalg: returns (reduced nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def random_matrix(rng, shape, kind):
+    """Rows of int, Fraction or mixed entries; a third of entries are zero."""
+    nrows, ncols = shape
+
+    def entry():
+        num = rng.choice([0, 0, 0] + list(range(-7, 8)))
+        frac = Fraction(num, rng.randint(1, 9))
+        if kind == "int":
+            return num
+        return frac if kind == "fraction" or rng.random() < 0.5 else num
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def matrix_cases(rng):
+    shapes = {
+        "tall": lambda: (rng.randint(6, 14), rng.randint(1, 5)),
+        "wide": lambda: (rng.randint(1, 4), rng.randint(6, 12)),
+        "square": lambda: (rng.randint(1, 7),) * 2,
+        "column": lambda: (rng.randint(1, 8), 1),
+    }
+    for shape_name, shape in shapes.items():
+        for kind in ("int", "fraction", "mixed"):
+            for _ in range(40):
+                rows = random_matrix(rng, shape(), kind)
+                ncols = len(rows[0])
+                if rng.random() < 0.3:  # zero rows
+                    rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+                if rng.random() < 0.3:  # a duplicate and a scaled duplicate
+                    src = rng.choice(rows)
+                    rows.append(list(src))
+                    rows.append([Fraction(-2, 3) * x for x in src])
+                rng.shuffle(rows)
+                yield f"{shape_name}/{kind}", rows
+
+
+def test_rref_and_rank_match_independent_gauss_jordan():
+    rng = seeded(205)
+    seen = set()
+    for name, rows in matrix_cases(rng):
+        seen.add(name)
+        expected_rows, expected_pivots = gauss_jordan(rows)
+        reduced, pivots = linalg.rref(rows)
+        assert (reduced, pivots) == (expected_rows, expected_pivots), (name, rows)
+        assert linalg.rank(rows) == len(expected_pivots), (name, rows)
+    assert len(seen) == 12
+
+
+def test_empty_matrix():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rank([]) == 0
+
+
+def test_rref_entries_are_fractions_in_reduced_form():
+    rng = seeded(206)
+    for _, rows in matrix_cases(rng):
+        reduced, pivots = linalg.rref(rows)
+        assert len(reduced) == len(pivots)
+        for r, (row, pc) in enumerate(zip(reduced, pivots)):
+            assert all(type(x) is Fraction for x in row)
+            assert row[pc] == 1
+            assert all(x == 0 for x in row[:pc])
+            assert all(other[pc] == 0 for k, other in enumerate(reduced) if k != r)
+        assert pivots == sorted(set(pivots))
+
+
+def test_rank_is_invariant_under_row_scaling():
+    rng = seeded(207)
+    for _, rows in matrix_cases(rng):
+        scaled = []
+        for row in rows:
+            factor = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            scaled.append([factor * x for x in row])
+        assert linalg.rank(scaled) == linalg.rank(rows)
