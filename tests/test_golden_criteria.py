@@ -1,0 +1,272 @@
+"""Golden outputs of the linear Pluecker-type criteria, the randomized
+contraction criterion and ``plk count``.
+
+The expectations are literal CLI output, so any change to a verdict, an
+equation count, a witness or its text shows up byte for byte.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from plk import Multivector, wedge
+from plk.cli import main
+from plk.randgen import random_nonsimple, random_simple
+from plk.serialize import dump
+
+from util import seeded
+
+LINEAR = ("classical", "dual", "improved", "dual-improved")
+COUNT_CASES = ((1, 0), (1, 1), (4, 2), (5, 3), (6, 3), (8, 4), (10, 3), (7, 7))
+
+
+def e(dim, *idx):
+    return Multivector.basis(dim, idx)
+
+
+INPUTS = {
+    "dense-6-3": lambda: random_nonsimple(seeded(5, 6, 3), 6, 3, 5),
+    "dense-7-4": lambda: random_nonsimple(seeded(5, 7, 4), 7, 4, 5),
+    "sparse-6-3": lambda: e(6, 1, 2, 3) + e(6, 4, 5, 6),
+    "sparse-7-4": lambda: wedge(e(7, 1), e(7, 2, 3, 4) + e(7, 5, 6, 7)),
+    "simple-6-3": lambda: random_simple(seeded(6, 6, 3), 6, 3, 5),
+    "third-6-3": lambda: random_nonsimple(seeded(5, 6, 3), 6, 3, 5) * Fraction(1, 3),
+    "third-sparse-6-3": lambda: (e(6, 1, 2, 3) + e(6, 4, 5, 6)) * Fraction(1, 3),
+    **{
+        f"grade-{s}": (lambda s=s: random_simple(seeded(6, 5, s), 5, s, 5))
+        for s in (0, 1, 4, 5)
+    },
+}
+RANDOMIZED_CASES = (
+    ("dense-7-4", 2),
+    ("sparse-7-4", 2),
+    ("simple-6-3", 2),
+    ("dense-6-3", 3),
+    ("sparse-6-3", 3),
+    ("simple-6-3", 3),
+    ("sparse-7-4", 4),
+)
+
+
+def golden_input(name):
+    return INPUTS[name]()
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def write_input(tmp_path, name):
+    path = str(tmp_path / f"{name}.json")
+    dump(golden_input(name), path)
+    return path
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("criterion", LINEAR)
+def test_linear_criterion_stdout_is_golden(name, criterion, tmp_path, capsys):
+    path = write_input(tmp_path, name)
+    assert run_cli(capsys, "check", "--criterion", criterion, path) == (
+        LINEAR_STDOUT[(name, criterion)]
+    )
+
+
+def test_linear_criterion_json_is_golden(tmp_path, capsys):
+    path = write_input(tmp_path, "sparse-7-4")
+    code, out = run_cli(capsys, "check", "--criterion", "dual-improved", "--json", path)
+    assert code == 1
+    assert out == JSON_STDOUT.replace('"FILE"', json.dumps(path))
+
+
+@pytest.mark.parametrize("case", COUNT_CASES, ids=lambda c: "{}-{}".format(*c))
+def test_count_stdout_is_golden(case, capsys):
+    n, s = case
+    assert run_cli(capsys, "count", "--dim", str(n), "--grade", str(s)) == (
+        0, COUNT_STDOUT[case]
+    )
+
+
+def test_count_json_is_golden(capsys):
+    assert run_cli(capsys, "count", "--dim", "9", "--grade", "4", "--json") == (0, COUNT_JSON)
+
+
+@pytest.mark.parametrize("case", RANDOMIZED_CASES, ids=lambda c: "{}-k{}".format(*c))
+def test_randomized_contraction_stdout_is_golden(case, tmp_path, capsys):
+    name, k = case
+    path = write_input(tmp_path, name)
+    argv = (
+        "check", "--criterion", "contraction", "--mode", "randomized", "--k", str(k),
+        "--trials", "6", "--seed", "11", "--bound", "4", path,
+    )
+    assert run_cli(capsys, *argv) == RANDOMIZED_STDOUT[case]
+
+
+# -- expectations ---------------------------------------------------------------
+
+LINEAR_STDOUT = {('dense-6-3', 'classical'): (1,
+                              'classical          false  equations=7  witness: Phi=e^{1,2} '
+                              '-> component e_{1,3,4,5} = -12\n'
+                              'result: not-simple\n'),
+ ('dense-6-3', 'dual'): (1,
+                         'dual               false  equations=4  witness: Psi=e^{1,2,3,4} '
+                         '-> component e_{1,5} = -12\n'
+                         'result: not-simple\n'),
+ ('dense-6-3', 'dual-improved'): (1,
+                                  'dual-improved      false  equations=1  witness: '
+                                  'Psi=e^{1,2,3,4,5} -> component e_{1} = 24\n'
+                                  'result: not-simple\n'),
+ ('dense-6-3', 'improved'): (1,
+                             'improved           false  equations=1  witness: Psi=e^{1} -> '
+                             'component e_{1,2,3,4,5} = 24\n'
+                             'result: not-simple\n'),
+ ('dense-7-4', 'classical'): (1,
+                              'classical          false  equations=7  witness: '
+                              'Phi=e^{1,2,3} -> component e_{1,2,4,5,6} = 28\n'
+                              'result: not-simple\n'),
+ ('dense-7-4', 'dual'): (1,
+                         'dual               false  equations=4  witness: '
+                         'Psi=e^{1,2,3,4,5} -> component e_{1,2,6} = 28\n'
+                         'result: not-simple\n'),
+ ('dense-7-4', 'dual-improved'): (1,
+                                  'dual-improved      false  equations=1  witness: '
+                                  'Psi=e^{1,2,3,4,5,6} -> component e_{1,2} = 56\n'
+                                  'result: not-simple\n'),
+ ('dense-7-4', 'improved'): (1,
+                             'improved           false  equations=1  witness: Psi=e^{1,2} '
+                             '-> component e_{1,2,3,4,5,6} = 56\n'
+                             'result: not-simple\n'),
+ ('grade-0', 'classical'): (0, 'classical          true   equations=0\nresult: simple\n'),
+ ('grade-0', 'dual'): (0, 'dual               true   equations=0\nresult: simple\n'),
+ ('grade-0', 'dual-improved'): (0,
+                                'dual-improved      true   equations=0\nresult: simple\n'),
+ ('grade-0', 'improved'): (0, 'improved           true   equations=0\nresult: simple\n'),
+ ('grade-1', 'classical'): (0, 'classical          true   equations=10\nresult: simple\n'),
+ ('grade-1', 'dual'): (0, 'dual               true   equations=10\nresult: simple\n'),
+ ('grade-1', 'dual-improved'): (0,
+                                'dual-improved      true   equations=0\nresult: simple\n'),
+ ('grade-1', 'improved'): (0, 'improved           true   equations=0\nresult: simple\n'),
+ ('grade-4', 'classical'): (0, 'classical          true   equations=10\nresult: simple\n'),
+ ('grade-4', 'dual'): (0, 'dual               true   equations=10\nresult: simple\n'),
+ ('grade-4', 'dual-improved'): (0,
+                                'dual-improved      true   equations=0\nresult: simple\n'),
+ ('grade-4', 'improved'): (0, 'improved           true   equations=0\nresult: simple\n'),
+ ('grade-5', 'classical'): (0, 'classical          true   equations=0\nresult: simple\n'),
+ ('grade-5', 'dual'): (0, 'dual               true   equations=0\nresult: simple\n'),
+ ('grade-5', 'dual-improved'): (0,
+                                'dual-improved      true   equations=0\nresult: simple\n'),
+ ('grade-5', 'improved'): (0, 'improved           true   equations=0\nresult: simple\n'),
+ ('simple-6-3', 'classical'): (0,
+                               'classical          true   equations=225\nresult: simple\n'),
+ ('simple-6-3', 'dual'): (0, 'dual               true   equations=225\nresult: simple\n'),
+ ('simple-6-3', 'dual-improved'): (0,
+                                   'dual-improved      true   equations=36\n'
+                                   'result: simple\n'),
+ ('simple-6-3', 'improved'): (0,
+                              'improved           true   equations=36\nresult: simple\n'),
+ ('sparse-6-3', 'classical'): (1,
+                               'classical          false  equations=15  witness: '
+                               'Phi=e^{1,2} -> component e_{3,4,5,6} = 1\n'
+                               'result: not-simple\n'),
+ ('sparse-6-3', 'dual'): (1,
+                          'dual               false  equations=15  witness: '
+                          'Psi=e^{1,2,3,4} -> component e_{5,6} = 1\n'
+                          'result: not-simple\n'),
+ ('sparse-6-3', 'dual-improved'): (1,
+                                   'dual-improved      false  equations=6  witness: '
+                                   'Psi=e^{1,2,3,4,5} -> component e_{6} = 1\n'
+                                   'result: not-simple\n'),
+ ('sparse-6-3', 'improved'): (1,
+                              'improved           false  equations=6  witness: Psi=e^{1} '
+                              '-> component e_{2,3,4,5,6} = 1\n'
+                              'result: not-simple\n'),
+ ('sparse-7-4', 'classical'): (1,
+                               'classical          false  equations=15  witness: '
+                               'Phi=e^{1,2,3} -> component e_{1,4,5,6,7} = -1\n'
+                               'result: not-simple\n'),
+ ('sparse-7-4', 'dual'): (1,
+                          'dual               false  equations=15  witness: '
+                          'Psi=e^{1,2,3,4,5} -> component e_{1,6,7} = -1\n'
+                          'result: not-simple\n'),
+ ('sparse-7-4', 'dual-improved'): (1,
+                                   'dual-improved      false  equations=6  witness: '
+                                   'Psi=e^{1,2,3,4,5,6} -> component e_{1,7} = 1\n'
+                                   'result: not-simple\n'),
+ ('sparse-7-4', 'improved'): (1,
+                              'improved           false  equations=6  witness: Psi=e^{1,2} '
+                              '-> component e_{1,3,4,5,6,7} = 1\n'
+                              'result: not-simple\n'),
+ ('third-6-3', 'classical'): (1,
+                              'classical          false  equations=7  witness: Phi=e^{1,2} '
+                              '-> component e_{1,3,4,5} = -4/3\n'
+                              'result: not-simple\n'),
+ ('third-6-3', 'dual'): (1,
+                         'dual               false  equations=4  witness: Psi=e^{1,2,3,4} '
+                         '-> component e_{1,5} = -4/3\n'
+                         'result: not-simple\n'),
+ ('third-6-3', 'dual-improved'): (1,
+                                  'dual-improved      false  equations=1  witness: '
+                                  'Psi=e^{1,2,3,4,5} -> component e_{1} = 8/3\n'
+                                  'result: not-simple\n'),
+ ('third-6-3', 'improved'): (1,
+                             'improved           false  equations=1  witness: Psi=e^{1} -> '
+                             'component e_{1,2,3,4,5} = 8/3\n'
+                             'result: not-simple\n'),
+ ('third-sparse-6-3', 'classical'): (1,
+                                     'classical          false  equations=15  witness: '
+                                     'Phi=e^{1,2} -> component e_{3,4,5,6} = 1/9\n'
+                                     'result: not-simple\n'),
+ ('third-sparse-6-3', 'dual'): (1,
+                                'dual               false  equations=15  witness: '
+                                'Psi=e^{1,2,3,4} -> component e_{5,6} = 1/9\n'
+                                'result: not-simple\n'),
+ ('third-sparse-6-3', 'dual-improved'): (1,
+                                         'dual-improved      false  equations=6  witness: '
+                                         'Psi=e^{1,2,3,4,5} -> component e_{6} = 1/9\n'
+                                         'result: not-simple\n'),
+ ('third-sparse-6-3', 'improved'): (1,
+                                    'improved           false  equations=6  witness: '
+                                    'Psi=e^{1} -> component e_{2,3,4,5,6} = 1/9\n'
+                                    'result: not-simple\n')}
+
+JSON_STDOUT = '{\n  "file": "FILE",\n  "dim": 7,\n  "grade": 4,\n  "criteria": [\n    {\n      "criterion": "dual-improved",\n      "verdict": false,\n      "equations_checked": 6,\n      "witness": "Psi=e^{1,2,3,4,5,6} -> component e_{1,7} = 1",\n      "probabilistic": false,\n      "seed": null\n    }\n  ],\n  "simple": false,\n  "agreement": true\n}\n'
+
+COUNT_STDOUT = {(1, 0): 'n=1 s=0: classical=0 dual=0 improved=0 dual-improved=0 optimal=0\n',
+ (1, 1): 'n=1 s=1: classical=0 dual=0 improved=0 dual-improved=0 optimal=0\n',
+ (4, 2): 'n=4 s=2: classical=16 dual=16 improved=1 dual-improved=1 optimal=1\n',
+ (5, 3): 'n=5 s=3: classical=50 dual=50 improved=5 dual-improved=5 optimal=5\n',
+ (6, 3): 'n=6 s=3: classical=225 dual=225 improved=36 dual-improved=36 optimal=35\n',
+ (7, 7): 'n=7 s=7: classical=0 dual=0 improved=0 dual-improved=0 optimal=0\n',
+ (8, 4): 'n=8 s=4: classical=3136 dual=3136 improved=784 dual-improved=784 optimal=720\n',
+ (10, 3): 'n=10 s=3: classical=9450 dual=9450 improved=2520 dual-improved=2520 '
+          'optimal=2310\n'}
+
+COUNT_JSON = '{\n  "dim": 9,\n  "grade": 4,\n  "counts": {\n    "classical": 10584,\n    "dual": 10584,\n    "improved": 3024,\n    "dual-improved": 3024,\n    "optimal": 2700\n  }\n}\n'
+
+RANDOMIZED_STDOUT = {('dense-6-3', 3): (1,
+                    'contraction(k=3)   false  equations=7  witness: Phi=e^{1,2} -> '
+                    'component e_{1,3,4,5} = -12\n'
+                    'result: not-simple\n'),
+ ('dense-7-4', 2): (1,
+                    'contraction(k=2)   false  equations=16  witness: trial 0, alphas=[(1, '
+                    '2, -3, 1, -3, -2, 0), (-4, 3, 0, 4, -3, -4, 1)]: Phi=e^{1} -> '
+                    'component e_{2,3,4} = -1833\n'
+                    'result: not-simple\n'),
+ ('simple-6-3', 2): (0,
+                     'contraction(k=2)   true   equations=720  [probabilistic, seed=11]\n'
+                     'result: simple\n'),
+ ('simple-6-3', 3): (0, 'contraction(k=3)   true   equations=225\nresult: simple\n'),
+ ('sparse-6-3', 3): (1,
+                     'contraction(k=3)   false  equations=15  witness: Phi=e^{1,2} -> '
+                     'component e_{3,4,5,6} = 1\n'
+                     'result: not-simple\n'),
+ ('sparse-7-4', 2): (1,
+                     'contraction(k=2)   false  equations=17  witness: trial 0, '
+                     'alphas=[(1, 2, -3, 1, -3, -2, 0), (-4, 3, 0, 4, -3, -4, 1)]: '
+                     'Phi=e^{1} -> component e_{2,3,5} = -16\n'
+                     'result: not-simple\n'),
+ ('sparse-7-4', 4): (1,
+                     'contraction(k=4)   false  equations=15  witness: Phi=e^{1,2,3} -> '
+                     'component e_{1,4,5,6,7} = -1\n'
+                     'result: not-simple\n')}
