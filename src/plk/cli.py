@@ -84,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--simple", action="store_true")
     kind.add_argument("--nonsimple", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--json", action="store_true")
+    common(p, with_file=False)
     p.add_argument("file", metavar="FILE", nargs="?", help="output path (default stdout)")
 
     p = sub.add_parser("family", help="span/intersection dichotomy for a family file")

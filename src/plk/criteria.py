@@ -8,18 +8,19 @@ are all validated against:
 * ``dual_pluecker``        - i(i_P psi)P = 0 for all (s+1)-covectors psi
 * ``contraction_criterion``- contractions by s-k independent covectors are
                              decomposable k-vectors (quadratic in each
-                             covector, so decided by polynomial identity
-                             testing, symbolic or randomized)
+                             covector, so decided exactly on a grid of
+                             covector points, or by seeded random points)
 * ``improved_pluecker``    - i(psi)P ^ P = 0 for all (s-2)-covectors psi
 * ``dual_improved_pluecker`` - i(i_P psi)P = 0 for all (s+2)-covectors psi
 * ``optimal_component_test`` - the component of P (x) P in the two-column
                              shape (s+2, s-2) vanishes
 * ``is_simple_oracle``     - the support space has rank exactly s
 
-The first five are linear in the quantified covector, so checking basis
-covectors in lexicographic order is exact; reports carry the first failing
-equation as a witness.  Degenerate grades (0 and 1) are decomposable by
-convention, as is the zero multivector.
+The four Pluecker-type criteria (classical, dual, improved, dual-improved)
+are linear in the quantified covector, so checking basis covectors in
+lexicographic order is exact; reports carry the first failing equation as a
+witness.  Degenerate grades (0 and 1) are decomposable by convention, as is
+the zero multivector.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .multivector import (
     wedge,
     wedge_terms,
 )
-from .young import _signed_perms, comb0
+from .young import comb0
 
 CRITERIA = ("classical", "dual", "improved", "dual-improved", "contraction", "optimal", "oracle")
 
@@ -78,6 +79,22 @@ class Witness:
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """Verdict of one criterion run, with the work it took.
+
+    ``equations_checked`` counts, per criterion:
+
+    * the four Pluecker-type criteria: scalar equations, one per quantified
+      basis covector and output component; a pass counts all of them
+      (``equation_count``), a failure those up to and including the witness;
+    * the contraction criterion: the equations of its inner checks summed
+      over the covector points visited - improved equations at grid points
+      in the exact mode, classical equations per trial in randomized mode,
+      and one inner check of P when k = s;
+    * the optimal test: coefficients of the projected family enumerated,
+      up to and including the witness;
+    * the oracle: the C(n, s-1) generators of the support space.
+    """
+
     criterion: str
     verdict: bool
     equations_checked: int
@@ -118,13 +135,35 @@ def _first_component(terms: Mapping[int, Coeff]) -> tuple[tuple[int, ...], Coeff
 
 # -- the four linear criteria ----------------------------------------------------
 
+# name -> (grade shift d, dual side).  The primal criteria quantify over
+# (s-d)-covectors q and test i(q)P ^ P = 0; the dual ones quantify over
+# (s+d)-covectors q and test i(i_P q)P = 0.
+_LINEAR = {
+    "classical": (1, False),
+    "dual": (1, True),
+    "improved": (2, False),
+    "dual-improved": (2, True),
+}
 
-def _linear_criterion(P, name, quant_grade, per_equation, evaluate, covector_symbol):
-    """Shared loop: quantify over basis covectors of one grade, lex order."""
-    n = P.dim
+
+def _pluecker(P: Multivector, name: str) -> CriterionReport:
+    """Shared sweep: quantify over basis covectors of one grade, lex order."""
+    _require_vector(P)
+    shift, dual = _LINEAR[name]
+    n, s = P.dim, P.grade
+    if s < shift:
+        return CriterionReport(name, True, 0)
+    terms = P.terms
+    quant_grade, out_grade = (s + shift, s - shift) if dual else (s - shift, s + shift)
+    per_equation = comb0(n, out_grade)
+    symbol = "Phi" if name == "classical" else "Psi"
     checked = 0
     for S in combinations(range(1, n + 1), quant_grade):
-        out = evaluate(mask_of(S))
+        q = {mask_of(S): 1}
+        if dual:
+            out = interior_terms(contract_terms(terms, q), terms)
+        else:
+            out = wedge_terms(interior_terms(q, terms), terms)
         if out:
             comp, val = _first_component(out)
             checked += _comb_rank(comp, n)
@@ -132,10 +171,7 @@ def _linear_criterion(P, name, quant_grade, per_equation, evaluate, covector_sym
                 equation=(S,),
                 component=comp,
                 value=val,
-                text=(
-                    f"{covector_symbol}=e^{{{_fmt(S)}}} -> "
-                    f"component e_{{{_fmt(comp)}}} = {val}"
-                ),
+                text=f"{symbol}=e^{{{_fmt(S)}}} -> component e_{{{_fmt(comp)}}} = {val}",
             )
             return CriterionReport(name, False, checked, witness)
         checked += per_equation
@@ -150,19 +186,7 @@ def classical_pluecker(P: Multivector) -> CriterionReport:
     equations; on failure it counts equations confirmed zero up to and
     including the witness.
     """
-    _require_vector(P)
-    n, s = P.dim, P.grade
-    if s < 1:
-        return CriterionReport("classical", True, 0)
-    terms = P.terms
-    supp = list(terms)
-
-    def evaluate(smask):
-        if not any(smask & k == smask for k in supp):
-            return {}
-        return wedge_terms(interior_terms({smask: 1}, terms), terms)
-
-    return _linear_criterion(P, "classical", s - 1, comb0(n, s + 1), evaluate, "Phi")
+    return _pluecker(P, "classical")
 
 
 def dual_pluecker(P: Multivector) -> CriterionReport:
@@ -170,19 +194,7 @@ def dual_pluecker(P: Multivector) -> CriterionReport:
 
     Vacuously true when s+1 > n (top forms are decomposable).
     """
-    _require_vector(P)
-    n, s = P.dim, P.grade
-    if s < 1:
-        return CriterionReport("dual", True, 0)
-    terms = P.terms
-
-    def evaluate(tmask):
-        cov = contract_terms(terms, {tmask: 1})
-        if not cov:
-            return {}
-        return interior_terms(cov, terms)
-
-    return _linear_criterion(P, "dual", s + 1, comb0(n, s - 1), evaluate, "Psi")
+    return _pluecker(P, "dual")
 
 
 def improved_pluecker(P: Multivector) -> CriterionReport:
@@ -192,19 +204,7 @@ def improved_pluecker(P: Multivector) -> CriterionReport:
     classical count once n >= 2s.  Grades below 2 are decomposable by
     convention and return a vacuous pass.
     """
-    _require_vector(P)
-    n, s = P.dim, P.grade
-    if s < 2:
-        return CriterionReport("improved", True, 0)
-    terms = P.terms
-    supp = list(terms)
-
-    def evaluate(smask):
-        if smask and not any(smask & k == smask for k in supp):
-            return {}
-        return wedge_terms(interior_terms({smask: 1}, terms), terms)
-
-    return _linear_criterion(P, "improved", s - 2, comb0(n, s + 2), evaluate, "Psi")
+    return _pluecker(P, "improved")
 
 
 def dual_improved_pluecker(P: Multivector) -> CriterionReport:
@@ -213,165 +213,33 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
     Vacuously true when n < s+2; grades below 2 pass by convention (the
     contracted covector would outgrade the vector).
     """
-    _require_vector(P)
-    n, s = P.dim, P.grade
-    if s < 2:
-        return CriterionReport("dual-improved", True, 0)
-    terms = P.terms
-
-    def evaluate(tmask):
-        cov = contract_terms(terms, {tmask: 1})
-        if not cov:
-            return {}
-        return interior_terms(cov, terms)
-
-    return _linear_criterion(P, "dual-improved", s + 2, comb0(n, s - 2), evaluate, "Psi")
+    return _pluecker(P, "dual-improved")
 
 
-# -- contraction criterion (polynomial identity testing) --------------------------
+# -- contraction criterion (evaluation at covector points) ------------------------
 
 
-def _symbolic_contraction(terms, n, m):
-    """Contract by a generic wedge of m covectors with symbolic coordinates.
+def _contraction_at_points(P, k, name, points, check, label, seed=None):
+    """Evaluate the contraction criterion at each tuple of covector points.
 
-    Returns a map from result masks to polynomials.  A polynomial maps
-    monomials to coefficients; at this level each covector group has degree
-    one, so a monomial is a flat tuple (i_1, ..., i_m) of one coordinate
-    index per group.
+    Each tuple (alpha_1, ..., alpha_m), m = s-k, of coordinate vectors is
+    wedged, contracted into P, and the k-vector Q = i(alpha_1 ^ ... ^
+    alpha_m)P is handed to ``check``; the first failure becomes a witness
+    that re-evaluates from its coordinates.  With m = 0 there is nothing to
+    contract by and one ``check`` of P decides.  ``seed`` is None for the
+    exact grid and marks a randomized pass as probabilistic otherwise.
     """
-    Q: dict[int, dict[tuple, Coeff]] = {}
-    for kmask, c in terms.items():
-        kidx = indices_of(kmask)
-        for A in combinations(kidx, m):
-            amask = mask_of(A)
-            tmask = kmask ^ amask
-            base = c if shuffle_sign(amask, tmask) > 0 else -c
-            poly = Q.setdefault(tmask, {})
-            for perm, sgn in _signed_perms(m):
-                mono = tuple(A[perm[j]] for j in range(m))
-                v = poly.get(mono, 0) + (base if sgn > 0 else -base)
-                if v:
-                    poly[mono] = v
-                elif mono in poly:
-                    del poly[mono]
-    return {mask: poly for mask, poly in Q.items() if poly}
-
-
-def _poly_addmul(dst, p1, p2, sgn, m):
-    """dst += sgn * p1 * p2 for degree-one-per-group polynomials.
-
-    Product monomials have degree two per group and are keyed by the flat
-    tuple (min, max) per group, concatenated.
-    """
-    if m == 2:
-        for (a1, a2), c1 in p1.items():
-            cc = c1 if sgn > 0 else -c1
-            for (b1, b2), c2 in p2.items():
-                key = (
-                    (a1, b1) if a1 <= b1 else (b1, a1)
-                ) + ((a2, b2) if a2 <= b2 else (b2, a2))
-                v = dst.get(key, 0) + cc * c2
-                if v:
-                    dst[key] = v
-                elif key in dst:
-                    del dst[key]
-        return
-    if m == 1:
-        for (a1,), c1 in p1.items():
-            cc = c1 if sgn > 0 else -c1
-            for (b1,), c2 in p2.items():
-                key = (a1, b1) if a1 <= b1 else (b1, a1)
-                v = dst.get(key, 0) + cc * c2
-                if v:
-                    dst[key] = v
-                elif key in dst:
-                    del dst[key]
-        return
-    for m1, c1 in p1.items():
-        cc = c1 if sgn > 0 else -c1
-        for m2, c2 in p2.items():
-            parts = []
-            for j in range(m):
-                a, b = m1[j], m2[j]
-                parts += (a, b) if a <= b else (b, a)
-            key = tuple(parts)
-            v = dst.get(key, 0) + cc * c2
-            if v:
-                dst[key] = v
-            elif key in dst:
-                del dst[key]
-
-
-def _mono_str(mono) -> str:
-    # product-level monomial: (min, max) coordinate pair per covector group
-    return "*".join(
-        f"a{j + 1}[{mono[2 * j]},{mono[2 * j + 1]}]" for j in range(len(mono) // 2)
-    ) or "1"
-
-
-def _contraction_symbolic(P, k, name):
     n, s = P.dim, P.grade
-    m = s - k
-    Q = _symbolic_contraction(P.terms, n, m)
+    if s == k:
+        rep = check(P)
+        return CriterionReport(name, rep.verdict, rep.equations_checked, rep.witness, seed=seed)
     checked = 0
-    for S in combinations(range(1, n + 1), k - 1):
-        smask = mask_of(S)
-        contracted = {}
-        for tmask, poly in Q.items():
-            if tmask & smask == smask:
-                rest = tmask ^ smask
-                sgn = shuffle_sign(smask, rest)
-                contracted[rest] = poly if sgn > 0 else {mo: -c for mo, c in poly.items()}
-        if not contracted:
-            continue
-        out: dict[int, dict] = {}
-        for m1, p1 in contracted.items():
-            for m2, p2 in Q.items():
-                if m1 & m2:
-                    continue
-                dst = out.setdefault(m1 | m2, {})
-                _poly_addmul(dst, p1, p2, shuffle_sign(m1, m2), m)
-        for comp_mask in sorted(out, key=indices_of):
-            poly = out[comp_mask]
-            checked += 1
-            if poly:
-                mono = min(poly)
-                comp = indices_of(comp_mask)
-                witness = Witness(
-                    equation=(S, mono),
-                    component=comp,
-                    value=poly[mono],
-                    text=(
-                        f"S=e^{{{_fmt(S)}}}, component e_{{{_fmt(comp)}}}: "
-                        f"coefficient of {_mono_str(mono)} = {poly[mono]}"
-                    ),
-                )
-                return CriterionReport(name, False, checked, witness)
-    return CriterionReport(name, True, checked)
-
-
-def _contraction_randomized(P, k, name, trials, seed, bound):
-    n, s = P.dim, P.grade
-    m = s - k
-    if m == 0:
-        # Nothing to contract by: one exact classical run decides it.
-        rep = classical_pluecker(P)
-        return CriterionReport(
-            name, rep.verdict, rep.equations_checked, rep.witness, seed=seed
-        )
-    checked = 0
-    for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
-        coords = [
-            tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)
-        ]
+    for t, coords in enumerate(points):
+        coords = list(coords)
         phi_terms: Mapping[int, Coeff] = {0: 1}
         for vec in coords:
-            phi_terms = wedge_terms(
-                phi_terms, {1 << i: c for i, c in enumerate(vec) if c}
-            )
-        Qt = Multivector(n, k, interior_terms(phi_terms, P.terms))
-        rep = classical_pluecker(Qt)
+            phi_terms = wedge_terms(phi_terms, {1 << i: c for i, c in enumerate(vec) if c})
+        rep = check(Multivector(n, k, interior_terms(phi_terms, P.terms)))
         checked += rep.equations_checked
         if not rep.verdict:
             inner = rep.witness
@@ -379,10 +247,24 @@ def _contraction_randomized(P, k, name, trials, seed, bound):
                 equation=(t, tuple(coords)) + inner.equation,
                 component=inner.component,
                 value=inner.value,
-                text=f"trial {t}, alphas={coords}: {inner.text}",
+                text=f"{label} {t}, alphas={coords}: {inner.text}",
             )
             return CriterionReport(name, False, checked, witness, seed=seed)
-    return CriterionReport(name, True, checked, probabilistic=True, seed=seed)
+    return CriterionReport(name, True, checked, probabilistic=seed is not None, seed=seed)
+
+
+def _grid_points(n: int):
+    """The covectors e^i and e^i + e^j (i < j), as coordinate tuples."""
+    units = [tuple(int(x == i) for x in range(n)) for i in range(n)]
+    return units + [
+        tuple(a + b for a, b in zip(u, v)) for u, v in combinations(units, 2)
+    ]
+
+
+def _random_points(n, m, trials, seed, bound):
+    for t in range(trials):
+        rng = random.Random(seed * 1_000_003 + t)
+        yield [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
 
 
 def contraction_criterion(
@@ -396,31 +278,44 @@ def contraction_criterion(
     """Decomposability via contractions: every i(a_1 ^ ... ^ a_(s-k))P must be
     a decomposable k-vector, quantified over ALL covectors a_i.
 
-    The resulting Pluecker expressions are quadratic in each a_i, so basis
-    tuples do not suffice.  Symbolic mode expands them as polynomials in the
-    (s-k)*n covector coordinates and tests every coefficient (exact; the
-    count reported is the number of polynomial identities materialized).
+    The Pluecker expressions F(a_1, ..., a_m) of the contraction, m = s-k,
+    are quadratic in each a_i, so basis covectors alone do not suffice.
+
+    The exact mode (named "symbolic") evaluates F at the m-subsets of the
+    grid {e^i} U {e^i + e^j} and checks each contracted k-vector with the
+    improved relations.  This decides F == 0: the grid is unisolvent for
+    quadratic forms (q(e^i) = q_ii, q(e^i + e^j) = q_ii + q_jj + q_ij), so
+    its m-fold product is unisolvent for forms quadratic in each a_i; F is
+    symmetric in the a_i up to a sign that the quadratic relations absorb,
+    and vanishes when two of them coincide, so the m-subsets of grid points
+    carry all of that information.  ``equations_checked`` sums the improved
+    equations over the grid points visited, and a witness names the point
+    and its covector coordinates.
+
     Randomized mode evaluates at ``trials`` seeded integer tuples drawn from
-    [-bound, bound]: a nonzero evaluation certifies failure, while an all-zero
-    run yields a pass flagged as probabilistic.
+    [-bound, bound] and checks each with the classical relations: a nonzero
+    evaluation certifies failure, while an all-zero run yields a pass
+    flagged as probabilistic.  With k = s both modes run one check of P.
     """
     _require_vector(P)
     if not isinstance(k, int) or k < 2:
         raise InputError(f"contraction order k must be an integer >= 2, got {k}")
-    s = P.grade
+    n, s = P.dim, P.grade
     name = f"contraction(k={k})"
     if s < 2:
         return CriterionReport(name, True, 0)
     if k > s:
         raise InputError(f"k must satisfy 2 <= k <= grade={s}, got {k}")
     if mode == "symbolic":
-        return _contraction_symbolic(P, k, name)
+        points = combinations(_grid_points(n), s - k)
+        return _contraction_at_points(P, k, name, points, improved_pluecker, "point")
     if mode == "randomized":
         if trials < 1:
             raise InputError(f"trials must be >= 1, got {trials}")
         if bound < 1:
             raise InputError(f"bound must be >= 1, got {bound}")
-        return _contraction_randomized(P, k, name, trials, seed, bound)
+        points = _random_points(n, s - k, trials, seed, bound)
+        return _contraction_at_points(P, k, name, points, classical_pluecker, "trial", seed)
     raise InputError(f"mode must be 'symbolic' or 'randomized', got {mode!r}")
 
 
@@ -593,14 +488,9 @@ def equation_count(n: int, s: int, criterion: str) -> int:
     """
     if not (0 <= s <= n):
         raise InputError(f"need 0 <= s <= n, got s={s}, n={n}")
-    if criterion == "classical":
-        return comb0(n, s - 1) * comb0(n, s + 1)
-    if criterion == "dual":
-        return comb0(n, s + 1) * comb0(n, s - 1)
-    if criterion == "improved":
-        return comb0(n, s - 2) * comb0(n, s + 2)
-    if criterion == "dual-improved":
-        return comb0(n, s + 2) * comb0(n, s - 2)
+    if criterion in _LINEAR:
+        shift = _LINEAR[criterion][0]
+        return comb0(n, s - shift) * comb0(n, s + shift)
     if criterion == "optimal":
         if s < 2:
             return 0

@@ -318,21 +318,12 @@ def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int
 
 
 def contract_terms(p: Mapping[int, Coeff], psi: Mapping[int, Coeff]) -> dict[int, Coeff]:
-    """Terms of contract_into(p, psi): remove p's subsets from psi's."""
-    out: dict[int, Coeff] = {}
-    for mp, cp in p.items():
-        for mps, cps in psi.items():
-            if mp & mps != mp:
-                continue
-            rest = mps ^ mp
-            v = out.get(rest, 0) + (
-                cp * cps if shuffle_sign(mp, rest) > 0 else -cp * cps
-            )
-            if v:
-                out[rest] = v
-            elif rest in out:
-                del out[rest]
-    return out
+    """Terms of contract_into(p, psi): remove p's subsets from psi's.
+
+    On terms this is the interior kernel with the roles swapped: the
+    vector's subsets are contracted out of the covector's.
+    """
+    return interior_terms(p, psi)
 
 
 # -- public operations ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Decomposability criteria: examples, witnesses, equivalence, families."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -225,6 +226,39 @@ def test_contraction_low_grade_vacuous():
     assert contraction_criterion(Multivector.scalar(4, 3), 5).verdict
 
 
+def test_contraction_grid_needs_sum_points():
+    # Every basis contraction of P is decomposable, so only a sum point
+    # e^i + e^j can expose it: the grid must include those points.
+    p = e(6, 1, 2, 3) + e(6, 4, 5, 6)
+    for i in range(1, 7):
+        assert is_simple_oracle(interior(e(6, i, dual=True), p))
+    rep = contraction_criterion(p, 2)
+    assert not rep.verdict
+    _, coords, S = rep.witness.equation
+    (alpha_coords,) = coords
+    assert sorted(alpha_coords) == [0, 0, 0, 0, 1, 1]
+    alpha = Multivector(6, 1, {1 << i: c for i, c in enumerate(alpha_coords) if c}, dual=True)
+    q = interior(alpha, p)
+    out = wedge(interior(Multivector.basis(6, S, dual=True), q), q)
+    assert out.coeff(rep.witness.component) == rep.witness.value != 0
+
+
+def test_contraction_exact_matches_oracle_beyond_k2():
+    for n in range(4, 8):
+        for s in (3, 4):
+            if s > n:
+                continue
+            for i in range(3):
+                rng = seeded(514, n, s, i)
+                inputs = [random_simple(rng, n, s, 4), rand_mv(rng, n, s, bound=4, max_terms=5)]
+                if s < n - 1:
+                    inputs.append(random_nonsimple(rng, n, s, 4))
+                for p in inputs:
+                    for k in sorted({3, s}):
+                        rep = contraction_criterion(p, k)
+                        assert rep.verdict == is_simple_oracle(p), (n, s, k, str(p))
+
+
 # -- optimal component test ---------------------------------------------------------
 
 
@@ -361,6 +395,42 @@ def test_equation_count_orderings():
     for n in range(2, 13):
         for s in range(0, n + 1):
             assert equation_count(n, s, "optimal") <= equation_count(n, s, "improved")
+
+
+def _comb(n, k):
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+# Quantified covectors times output components, for each linear criterion.
+LINEAR_COUNTS = {
+    "classical": lambda n, s: _comb(n, s - 1) * _comb(n, s + 1),
+    "dual": lambda n, s: _comb(n, s + 1) * _comb(n, s - 1),
+    "improved": lambda n, s: _comb(n, s - 2) * _comb(n, s + 2),
+    "dual-improved": lambda n, s: _comb(n, s + 2) * _comb(n, s - 2),
+}
+LINEAR_FNS = {
+    "classical": classical_pluecker,
+    "dual": dual_pluecker,
+    "improved": improved_pluecker,
+    "dual-improved": dual_improved_pluecker,
+}
+
+
+def test_equation_count_linear_formulas():
+    for n in range(1, 11):
+        for s in range(0, n + 1):
+            for name, formula in LINEAR_COUNTS.items():
+                assert equation_count(n, s, name) == formula(n, s), (n, s, name)
+
+
+def test_linear_pass_checks_every_equation():
+    for n in range(1, 8):
+        for s in range(0, n + 1):
+            p = random_simple(seeded(515, n, s), n, s, 4)
+            for name, fn in LINEAR_FNS.items():
+                rep = fn(p)
+                assert rep.verdict, (n, s, name)
+                assert rep.equations_checked == LINEAR_COUNTS[name](n, s), (n, s, name)
 
 
 def test_equation_count_validates():
