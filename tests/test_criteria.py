@@ -1,6 +1,7 @@
 """Decomposability criteria: examples, witnesses, equivalence, families."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -580,6 +581,60 @@ def test_kernel_dimension_cross_oracle():
         s = rng.randint(1, n)
         p = rand_mv(rng, n, s, max_terms=8)
         assert (kernel_dimension(p) == s) == (support_space(p).rank == s)
+
+
+def _rank_by_elimination(rows):
+    """Rank of a list of rows, by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _wedge_matrix(p):
+    """Row i holds the coefficients of e_i ^ p over the (s+1)-subsets U:
+    e_i ^ e_{U - i} = (-1)**(number of elements of U below i) e_U."""
+    n, s = p.dim, p.grade
+    subsets = list(combinations(range(1, n + 1), s + 1))
+    return [
+        [
+            (-1) ** sum(1 for j in U if j < i) * p.coeff([j for j in U if j != i])
+            if i in U else 0
+            for U in subsets
+        ]
+        for i in range(1, n + 1)
+    ]
+
+
+def test_kernel_dimension_matches_wedge_matrix_rank():
+    rng = seeded(518)
+    seen = set()
+    for n in range(1, 9):
+        for s in range(n + 1):
+            cases = [Multivector.zero(n, s)]
+            if s == 0:
+                cases += [Multivector.scalar(n, 3), Multivector.scalar(n, Fraction(-2, 7))]
+            else:
+                cases += [
+                    rand_mv(rng, n, s, bound=4, max_terms=3),
+                    rand_mv(rng, n, s, bound=4, rational=True),
+                    random_simple(rng, n, s, 3) * Fraction(1, 3),
+                ]
+            if 2 <= s <= n - 2:
+                cases.append(random_nonsimple(rng, n, s, 3))
+            for p in cases:
+                expected = n - _rank_by_elimination(_wedge_matrix(p))
+                assert kernel_dimension(p) == expected, (n, s, str(p))
+                seen.add(expected not in (s, n))
+    assert seen == {False, True}  # kernels other than s and n were exercised
 
 
 def test_reports_reject_covectors():

@@ -1,5 +1,5 @@
-"""Golden outputs of the linear Pluecker-type criteria, the randomized
-contraction criterion and ``plk count``.
+"""Golden outputs of the linear Pluecker-type criteria, the optimal
+component test, the randomized contraction criterion and ``plk count``.
 
 The expectations are literal CLI output, so any change to a verdict, an
 equation count, a witness or its text shows up byte for byte.
@@ -38,6 +38,13 @@ INPUTS = {
         for s in (0, 1, 4, 5)
     },
 }
+# Inputs only the optimal component test is pinned on.
+OPTIMAL_INPUTS = {
+    "dense-8-4": lambda: random_nonsimple(seeded(5, 8, 4), 8, 4, 5),
+    "sparse-8-4": lambda: e(8, 1, 2, 3, 4) + e(8, 5, 6, 7, 8),
+    "simple-7-4": lambda: random_simple(seeded(6, 7, 4), 7, 4, 5),
+}
+OPTIMAL_CASES = ("dense-7-4", "sparse-7-4", "third-6-3", "simple-6-3", *OPTIMAL_INPUTS)
 RANDOMIZED_CASES = (
     ("dense-7-4", 2),
     ("sparse-7-4", 2),
@@ -50,7 +57,7 @@ RANDOMIZED_CASES = (
 
 
 def golden_input(name):
-    return INPUTS[name]()
+    return {**INPUTS, **OPTIMAL_INPUTS}[name]()
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +85,12 @@ def test_linear_criterion_json_is_golden(tmp_path, capsys):
     code, out = run_cli(capsys, "check", "--criterion", "dual-improved", "--json", path)
     assert code == 1
     assert out == JSON_STDOUT.replace('"FILE"', json.dumps(path))
+
+
+@pytest.mark.parametrize("name", OPTIMAL_CASES)
+def test_optimal_stdout_is_golden(name, tmp_path, capsys):
+    path = write_input(tmp_path, name)
+    assert run_cli(capsys, "check", "--criterion", "optimal", path) == OPTIMAL_STDOUT[name]
 
 
 @pytest.mark.parametrize("case", COUNT_CASES, ids=lambda c: "{}-{}".format(*c))
@@ -229,6 +242,21 @@ LINEAR_STDOUT = {('dense-6-3', 'classical'): (1,
                                     'improved           false  equations=6  witness: '
                                     'Psi=e^{1} -> component e_{2,3,4,5,6} = 1/9\n'
                                     'result: not-simple\n')}
+
+OPTIMAL_STDOUT = {
+    "dense-7-4": (1, "optimal            false  equations=276  witness: pairs=({1,1},{2,2}), "
+                     "skew over e_{3,4,5,6}: coefficient = 28/3\nresult: not-simple\n"),
+    "sparse-7-4": (1, "optimal            false  equations=383  witness: pairs=({1,1},{2,5}), "
+                      "skew over e_{3,4,6,7}: coefficient = 1/6\nresult: not-simple\n"),
+    "third-6-3": (1, "optimal            false  equations=11  witness: pairs=({1,1}), "
+                     "skew over e_{2,3,4,5}: coefficient = 4/9\nresult: not-simple\n"),
+    "simple-6-3": (0, "optimal            true   equations=315\nresult: simple\n"),
+    "dense-8-4": (1, "optimal            false  equations=616  witness: pairs=({1,1},{2,2}), "
+                     "skew over e_{3,4,5,6}: coefficient = -10\nresult: not-simple\n"),
+    "sparse-8-4": (1, "optimal            false  equations=10281  witness: pairs=({1,5},{2,6}), "
+                      "skew over e_{3,4,7,8}: coefficient = 1/12\nresult: not-simple\n"),
+    "simple-7-4": (0, "optimal            true   equations=14210\nresult: simple\n"),
+}
 
 JSON_STDOUT = '{\n  "file": "FILE",\n  "dim": 7,\n  "grade": 4,\n  "criteria": [\n    {\n      "criterion": "dual-improved",\n      "verdict": false,\n      "equations_checked": 6,\n      "witness": "Psi=e^{1,2,3,4,5,6} -> component e_{1,7} = 1",\n      "probabilistic": false,\n      "seed": null\n    }\n  ],\n  "simple": false,\n  "agreement": true\n}\n'
 

@@ -1,6 +1,7 @@
 """Two-column shapes: dimensions, square decomposition, characters, probes."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -263,6 +264,59 @@ def test_projection_golden_counterexample():
     # hand-derived: pairs ((1,1),(2,5)) with skew subset {3,4,6,7} gives 1/6
     assert first == (((1, 1), (2, 5)), (3, 4, 6, 7))
     assert coeffs[first] == Fraction(1, 6)
+
+
+def _parity(seq):
+    """+1 or -1: the sign of the permutation sorting ``seq`` (distinct entries)."""
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def _projection_reference(P):
+    """The (s+2, s-2) projection, s >= 3, from its definition: for every
+    ordered (s-2)-tuple u the 2-form D[u] has coefficient P(u, x, y) at
+    e_{x,y}; the block of a pair tuple is the sum of D[u] ^ D[v] over the
+    ways to split the pairs into u and v, divided by 3 * 2**(s-2)."""
+    n, k = P.dim, P.grade - 2
+    d = {}
+    for u in permutations(range(1, n + 1), k):
+        rest = sorted(set(range(1, n + 1)) - set(u))
+        form = Multivector.from_terms(n, 2, [
+            ((x, y), _parity(u + (x, y)) * P.coeff(sorted(u + (x, y))))
+            for x, y in combinations(rest, 2)
+        ])
+        if not form.is_zero():
+            d[u] = form
+    pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    out = {}
+    for pairs in combinations_with_replacement(pair_list, k):
+        block = Multivector.zero(n, 4)
+        for eps in product((0, 1), repeat=k - 1):
+            side = (0,) + eps
+            u = tuple(pairs[j][side[j]] for j in range(k))
+            v = tuple(pairs[j][1 - side[j]] for j in range(k))
+            if u in d and v in d:
+                block = block + wedge(d[u], d[v])
+        for idx, c in block.items():
+            out[(pairs, idx)] = Fraction(c, 3 * 2**k)
+    return out
+
+
+def test_projection_matches_reference():
+    rng = seeded(407)
+    cells = [(5, 3), (6, 3), (6, 4), (7, 3), (7, 4), (7, 5), (8, 3), (8, 4), (8, 5)]
+    for n, s in cells:
+        big = (n, s) == (8, 5)  # a dense (8,5) input takes seconds here
+        cap = 8 if big else None
+        cases = [
+            rand_mv(rng, n, s, bound=5, max_terms=cap),
+            rand_mv(rng, n, s, bound=5, max_terms=cap) * Fraction(1, 3),
+            rand_mv(rng, n, s, bound=5, max_terms=3),
+        ]
+        if not big:
+            cases.append(random_simple(rng, n, s, 3))
+        for P in cases:
+            assert project_tensor_square(P) == _projection_reference(P), (n, s, str(P))
 
 
 def test_projection_rejects_low_grade():
