@@ -4,8 +4,8 @@
     plk factor FILE
     plk count  --dim N --grade S [--json]
     plk dims   --dim N --grade S [--json]
-    plk random --dim N --grade S (--simple | --nonsimple) [--seed S] [FILE]
-    plk family FILE
+    plk random --dim N --grade S (--simple | --nonsimple) [--seed S] [--bound B] [FILE]
+    plk family [--json] FILE
 
 Exit codes: 0 decomposable / all identities pass, 1 not decomposable,
 2 input error, 3 internal invariant violation.  Output is deterministic for
@@ -40,6 +40,17 @@ _SINGLE = {
 _COUNTED = ("classical", "dual", "improved", "dual-improved", "optimal")
 
 
+# Each subcommand declares only the options its cmd_* function reads.
+_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="64-bit seed (default 0)"),
+    "--bound": dict(type=int, default=10, help="integer coefficient bound"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--dim": dict(type=int, required=True),
+    "--grade": dict(type=int, required=True),
+    "file": dict(metavar="FILE", help="multivector JSON file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plk",
@@ -47,12 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-        p.add_argument("--bound", type=int, default=10, help="integer coefficient bound")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if with_file:
-            p.add_argument("file", metavar="FILE", help="multivector JSON file")
+    def options(p, *names):
+        for name in names:
+            p.add_argument(name, **_OPTIONS[name])
 
     p = sub.add_parser("check", help="run decomposability criteria on a multivector")
     p.add_argument(
@@ -63,32 +71,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("symbolic", "randomized"), default="symbolic")
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--k", type=int, default=2, help="contraction order (default 2)")
-    common(p)
+    options(p, "--seed", "--bound", "--json", "file")
 
     p = sub.add_parser("factor", help="recover wedge factors of a decomposable input")
-    common(p)
+    options(p, "file")
 
     p = sub.add_parser("count", help="equation counts for each criterion")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--grade", type=int, required=True)
-    common(p, with_file=False)
+    options(p, "--dim", "--grade", "--json")
 
     p = sub.add_parser("dims", help="two-column component dimensions and identities")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--grade", type=int, required=True)
-    common(p, with_file=False)
+    options(p, "--dim", "--grade", "--json")
 
     p = sub.add_parser("random", help="emit a random (non)decomposable multivector")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--grade", type=int, required=True)
+    options(p, "--dim", "--grade")
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--simple", action="store_true")
     kind.add_argument("--nonsimple", action="store_true")
-    common(p, with_file=False)
+    options(p, "--seed", "--bound")
     p.add_argument("file", metavar="FILE", nargs="?", help="output path (default stdout)")
 
     p = sub.add_parser("family", help="span/intersection dichotomy for a family file")
-    common(p)
+    options(p, "--json", "file")
 
     return parser
 

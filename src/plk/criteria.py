@@ -31,6 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg, young
@@ -45,7 +46,6 @@ from .multivector import (
     interior_terms,
     mask_of,
     pairing,
-    shuffle_sign,
     support_space,
     wedge,
     wedge_terms,
@@ -389,32 +389,22 @@ def oracle_report(P: Multivector) -> CriterionReport:
 
 
 def kernel_dimension(P: Multivector) -> int:
-    """dim of {v : v ^ P = 0}, via the nullspace of wedging into grade s+1.
+    """dim of {v : v ^ P = 0}, via the rank of wedging into grade s+1.
 
     Independent cross-check of the support-space oracle: the dimension equals
     the grade exactly for nonzero decomposable multivectors.
     """
     _require_vector(P)
-    n, s = P.dim, P.grade
-    if P.is_zero():
-        return n
-    if s + 1 > n:
-        return n  # wedging into a zero space: everything is in the kernel
-    rows = []
-    for U in combinations(range(1, n + 1), s + 1):
-        umask = mask_of(U)
-        row = []
-        for i in U:
-            rest = umask ^ (1 << (i - 1))
-            c = P.terms.get(rest, 0)
-            row.append(c if shuffle_sign(1 << (i - 1), rest) > 0 else -c)
-        if any(row):
-            # scatter back to n columns
-            full = [0] * n
-            for i, c in zip(U, row):
-                full[i - 1] = c
-            rows.append(full)
-    return n - linalg.rank(rows)
+    n = P.dim
+    # Scaling P keeps the kernel: clear its denominators so that the wedges
+    # and the elimination run on integers, not Fractions.
+    d = lcm(*[c.denominator for c in P.terms.values()])
+    terms = {m: c.numerator * (d // c.denominator) for m, c in P.terms.items()}
+    rows = [wedge_terms({1 << i: 1}, terms) for i in range(n)]
+    cols = sorted(set().union(*rows))
+    if not cols:
+        return n  # v ^ P = 0 for every v: P is zero or of top grade
+    return n - linalg.rank([[row.get(m, 0) for m in cols] for row in rows])
 
 
 def from_factors(vectors: Sequence[Multivector]) -> Multivector:

@@ -14,10 +14,21 @@ from .criteria import InvariantViolation, from_factors, is_simple_oracle
 from .multivector import Coeff, InputError, Multivector, mask_of
 
 
+def _check_args(dim: int, bound: int, grade: int = 1) -> None:
+    """Refuse up front the arguments no draw can satisfy, instead of looping."""
+    if not isinstance(dim, int) or not 1 <= dim <= 64:
+        raise InputError(f"dim must be an integer in [1, 64], got {dim}")
+    if not isinstance(grade, int) or not 0 <= grade <= dim:
+        raise InputError(f"grade must be an integer in [0, {dim}], got {grade}")
+    if not isinstance(bound, int) or bound < 1:
+        raise InputError(f"bound must be an integer >= 1, got {bound}")
+
+
 def random_vector(
     rng: random.Random, dim: int, bound: int = 10, dual: bool = False
 ) -> Multivector:
     """Random nonzero grade-1 (co)vector with integer coordinates."""
+    _check_args(dim, bound)
     while True:
         terms = {1 << i: rng.randint(-bound, bound) for i in range(dim)}
         terms = {m: c for m, c in terms.items() if c}
@@ -33,9 +44,8 @@ def random_multivector(
     max_terms: int | None = None,
 ) -> Multivector:
     """Random nonzero multivector with a random sparse support."""
+    _check_args(dim, bound, grade)
     total = comb(dim, grade)
-    if total == 0:
-        raise InputError(f"no grade-{grade} basis elements in dimension {dim}")
     cap = min(max_terms or total, total)
     masks = [mask_of(c) for c in combinations(range(1, dim + 1), grade)]
     nterms = rng.randint(1, cap)
@@ -53,6 +63,7 @@ def random_simple(
     rng: random.Random, dim: int, grade: int, bound: int = 10
 ) -> Multivector:
     """Random nonzero decomposable multivector, as a wedge of random vectors."""
+    _check_args(dim, bound, grade)
     if grade == 0:
         value = 0
         while not value:
@@ -71,6 +82,7 @@ def random_nonsimple(
 
     Grades 0, 1, dim-1 and dim admit no such multivector and are rejected.
     """
+    _check_args(dim, bound, grade)
     if grade <= 1 or grade >= dim - 1:
         raise InputError(
             f"every multivector of grade {grade} in dimension {dim} is "

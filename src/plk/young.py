@@ -25,7 +25,8 @@ from .multivector import (
     InputError,
     Multivector,
     indices_of,
-    shuffle_sign,
+    interior_terms,
+    mask_of,
     sorted_mask,
     wedge_terms,
 )
@@ -376,9 +377,11 @@ def iter_projection_blocks(
     coefficient at (pairs, subset) equals block[subset] / denom.
 
     The skew over the four indices of the product of two pair-contracted
-    2-forms is exactly their wedge, so each block is a sum of sparse wedges;
-    pair tuples are emitted in lexicographic order and coefficients inside a
-    block in index order, which fixes the "first witness" reported upstream.
+    2-forms is exactly their wedge, so each block is a signed sum of wedges
+    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, which are kept once per
+    sorted u, keyed by its mask; an unsorted u contributes the sign of
+    sorting it.  Pair tuples are emitted in lexicographic order, which fixes
+    the "first witness" reported upstream.
     """
     if P.dual:
         raise InputError("projection target must be a vector")
@@ -391,16 +394,13 @@ def iter_projection_blocks(
         yield (), wedge_terms(P.terms, P.terms), 6
         return
 
-    # D[u] = 2-form with components P(u_1, ..., u_k, x, y) for ordered u.
-    d: dict[tuple[int, ...], dict[int, Coeff]] = {}
-    for kmask, c in P.terms.items():
-        idx = indices_of(kmask)
-        for xy in combinations(idx, 2):
-            xymask = (1 << (xy[0] - 1)) | (1 << (xy[1] - 1))
-            rest = tuple(i for i in idx if i not in xy)
-            for u in permutations(rest):
-                _, sign = sorted_mask(u + xy)
-                d.setdefault(u, {})[xymask] = sign * c
+    # D[u] = i(e^u)P, the 2-form P(u, x, y), for every sorted u inside a term.
+    d: dict[int, dict[int, Coeff]] = {}
+    for kmask in P.terms:
+        for u in combinations(indices_of(kmask), k):
+            umask = mask_of(u)
+            if umask not in d:
+                d[umask] = interior_terms({umask: 1}, P.terms)
 
     pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
     denom = 3 * (1 << k)
@@ -410,26 +410,16 @@ def iter_projection_blocks(
         # one wedge of the two contracted 2-forms, so fix the first choice.
         for eps in product((0, 1), repeat=k - 1):
             full = (0,) + eps
-            u = tuple(pairs[j][full[j]] for j in range(k))
-            v = tuple(pairs[j][1 - full[j]] for j in range(k))
-            du = d.get(u)
-            if not du:
-                continue
-            dv = d.get(v)
-            if not dv:
-                continue
-            for ma, ca in du.items():
-                for mb, cb in dv.items():
-                    if ma & mb:
-                        continue
-                    mm = ma | mb
-                    val = block.get(mm, 0) + (
-                        ca * cb if shuffle_sign(ma, mb) > 0 else -ca * cb
-                    )
-                    if val:
-                        block[mm] = val
-                    elif mm in block:
-                        del block[mm]
+            umask, su = sorted_mask([pairs[j][full[j]] for j in range(k)])
+            vmask, sv = sorted_mask([pairs[j][1 - full[j]] for j in range(k)])
+            if not (su and sv and umask in d and vmask in d):
+                continue  # a repeated index, or a contraction that vanishes
+            for mm, c in wedge_terms(d[umask], d[vmask]).items():
+                val = block.get(mm, 0) + (c if su == sv else -c)
+                if val:
+                    block[mm] = val
+                elif mm in block:
+                    del block[mm]
         yield pairs, block, denom
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from plk import Multivector, from_factors, run_all_criteria, wedge
 from plk.cli import main
+from plk.multivector import InputError
+from plk.randgen import random_multivector, random_nonsimple, random_simple, random_vector
 from plk.serialize import dump, dumps, emit_multivector, loads
 
 from util import seeded
@@ -231,6 +233,43 @@ def test_random_requires_kind(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--dim", "0", "--grade", "1", "--simple"), "dim must be an integer in [1, 64], got 0"),
+        (("--dim", "65", "--grade", "1", "--simple"), "dim must be an integer in [1, 64], got 65"),
+        (("--dim", "3", "--grade", "5", "--simple"), "grade must be an integer in [0, 3], got 5"),
+        (("--dim", "3", "--grade", "-1", "--simple"), "grade must be an integer in [0, 3], got -1"),
+        (("--dim", "3", "--grade", "5", "--nonsimple"), "grade must be an integer in [0, 3], got 5"),
+        (("--dim", "4", "--grade", "2", "--simple", "--bound", "0"), "--bound must be >= 1"),
+    ],
+)
+def test_random_out_of_range_exits_two(argv, message):
+    # in a child with a timeout, so a generator that loops fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "plk", "random", *argv],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: random_vector(rng, 0),
+        lambda rng: random_vector(rng, 4, bound=0),
+        lambda rng: random_multivector(rng, 4, 2, bound=0),
+        lambda rng: random_multivector(rng, 4, 5),
+        lambda rng: random_simple(rng, 3, 5),
+        lambda rng: random_simple(rng, 3, 0, bound=0),
+        lambda rng: random_nonsimple(rng, 6, -1),
+    ],
+)
+def test_generators_reject_unsatisfiable_arguments(call):
+    with pytest.raises(InputError, match=r"(dim|grade|bound) must be"):
+        call(seeded(1))
+
+
 # -- family ------------------------------------------------------------------------
 
 
@@ -301,6 +340,29 @@ def test_bad_trials_rejected(tmp_path, capsys):
     path = write_mv(tmp_path, nonsimple())
     code, _, err = run_cli(capsys, "check", "--trials", "0", path)
     assert code == 2 and "--trials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "--seed", "1", "FILE"),
+        ("factor", "--bound", "3", "FILE"),
+        ("factor", "--json", "FILE"),
+        ("count", "--dim", "6", "--grade", "3", "--seed", "1"),
+        ("count", "--dim", "6", "--grade", "3", "--bound", "3"),
+        ("dims", "--dim", "6", "--grade", "3", "--seed", "1"),
+        ("dims", "--dim", "6", "--grade", "3", "--bound", "3"),
+        ("family", "--seed", "1", "FILE"),
+        ("family", "--bound", "3", "FILE"),
+        ("random", "--dim", "6", "--grade", "3", "--simple", "--json"),
+    ],
+)
+def test_unread_flags_rejected(argv, tmp_path, capsys):
+    path = write_mv(tmp_path, nonsimple())
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
