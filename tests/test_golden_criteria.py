@@ -1,5 +1,5 @@
 """Golden outputs of the linear Pluecker-type criteria, the optimal
-component test, the randomized contraction criterion and ``plk count``.
+component test, both modes of the contraction criterion and ``plk count``.
 
 The expectations are literal CLI output, so any change to a verdict, an
 equation count, a witness or its text shows up byte for byte.
@@ -114,6 +114,14 @@ def test_randomized_contraction_stdout_is_golden(case, tmp_path, capsys):
         "--trials", "6", "--seed", "11", "--bound", "4", path,
     )
     assert run_cli(capsys, *argv) == RANDOMIZED_STDOUT[case]
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("k", (2, 3))
+def test_exact_contraction_stdout_is_golden(name, k, tmp_path, capsys):
+    path = write_input(tmp_path, name)
+    argv = ("check", "--criterion", "contraction", "--k", str(k), path)
+    assert run_cli(capsys, *argv) == EXACT_STDOUT[(name, k)]
 
 
 # -- expectations ---------------------------------------------------------------
@@ -298,3 +306,63 @@ RANDOMIZED_STDOUT = {('dense-6-3', 3): (1,
                      'contraction(k=4)   false  equations=15  witness: Phi=e^{1,2,3} -> '
                      'component e_{1,4,5,6,7} = -1\n'
                      'result: not-simple\n')}
+
+EXACT_STDOUT = {('dense-6-3', 2): (1,
+                    'contraction(k=2)   false  equations=11  witness: point 0, alphas=[(1, 0, 0, '
+                    '0, 0, 0)]: Psi=e^{} -> component e_{2,3,4,5} = 24\n'
+                    'result: not-simple\n'),
+ ('dense-6-3', 3): (1,
+                    'contraction(k=3)   false  equations=1  witness: Psi=e^{1} -> component '
+                    'e_{1,2,3,4,5} = 24\n'
+                    'result: not-simple\n'),
+ ('dense-7-4', 2): (1,
+                    'contraction(k=2)   false  equations=31  witness: point 0, alphas=[(1, 0, 0, '
+                    '0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)]: Psi=e^{} -> component e_{3,4,5,6} = 56\n'
+                    'result: not-simple\n'),
+ ('dense-7-4', 3): (1,
+                    'contraction(k=3)   false  equations=37  witness: point 0, alphas=[(1, 0, 0, '
+                    '0, 0, 0, 0)]: Psi=e^{2} -> component e_{2,3,4,5,6} = 56\n'
+                    'result: not-simple\n'),
+ ('grade-0', 2): (0, 'contraction(k=2)   true   equations=0\nresult: simple\n'),
+ ('grade-0', 3): (0, 'contraction(k=3)   true   equations=0\nresult: simple\n'),
+ ('grade-1', 2): (0, 'contraction(k=2)   true   equations=0\nresult: simple\n'),
+ ('grade-1', 3): (0, 'contraction(k=3)   true   equations=0\nresult: simple\n'),
+ ('grade-4', 2): (0, 'contraction(k=2)   true   equations=525\nresult: simple\n'),
+ ('grade-4', 3): (0, 'contraction(k=3)   true   equations=75\nresult: simple\n'),
+ ('grade-5', 2): (0, 'contraction(k=2)   true   equations=2275\nresult: simple\n'),
+ ('grade-5', 3): (0, 'contraction(k=3)   true   equations=525\nresult: simple\n'),
+ ('simple-6-3', 2): (0, 'contraction(k=2)   true   equations=315\nresult: simple\n'),
+ ('simple-6-3', 3): (0, 'contraction(k=3)   true   equations=36\nresult: simple\n'),
+ ('sparse-6-3', 2): (1,
+                     'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, 0, 0, '
+                     '1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2\n'
+                     'result: not-simple\n'),
+ ('sparse-6-3', 3): (1,
+                     'contraction(k=3)   false  equations=6  witness: Psi=e^{1} -> component '
+                     'e_{2,3,4,5,6} = 1\n'
+                     'result: not-simple\n'),
+ ('sparse-7-4', 2): (1,
+                     'contraction(k=2)   false  equations=523  witness: point 14, alphas=[(1, 0, '
+                     '0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{3,4,6,7} = '
+                     '2\n'
+                     'result: not-simple\n'),
+ ('sparse-7-4', 3): (1,
+                     'contraction(k=3)   false  equations=42  witness: point 0, alphas=[(1, 0, 0, '
+                     '0, 0, 0, 0)]: Psi=e^{2} -> component e_{3,4,5,6,7} = 1\n'
+                     'result: not-simple\n'),
+ ('third-6-3', 2): (1,
+                    'contraction(k=2)   false  equations=11  witness: point 0, alphas=[(1, 0, 0, '
+                    '0, 0, 0)]: Psi=e^{} -> component e_{2,3,4,5} = 8/3\n'
+                    'result: not-simple\n'),
+ ('third-6-3', 3): (1,
+                    'contraction(k=3)   false  equations=1  witness: Psi=e^{1} -> component '
+                    'e_{1,2,3,4,5} = 8/3\n'
+                    'result: not-simple\n'),
+ ('third-sparse-6-3', 2): (1,
+                           'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, '
+                           '0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2/9\n'
+                           'result: not-simple\n'),
+ ('third-sparse-6-3', 3): (1,
+                           'contraction(k=3)   false  equations=6  witness: Psi=e^{1} -> component '
+                           'e_{2,3,4,5,6} = 1/9\n'
+                           'result: not-simple\n')}

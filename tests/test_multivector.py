@@ -1,7 +1,7 @@
 """Core exterior algebra: wedge, pairing, interior products, support space."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,19 @@ from plk import (
     support_space,
     wedge,
 )
-from plk.multivector import indices_of, mask_of, shuffle_sign, sorted_mask
+from plk.criteria import from_factors
+from plk.linalg import nullspace
+from plk.multivector import (
+    basis_subsets,
+    indices_of,
+    interior_terms,
+    mask_of,
+    shuffle_sign,
+    sorted_mask,
+    wedge_terms,
+)
+from plk.randgen import random_vector
+from plk.young import iter_projection_blocks
 
 from util import contract_by_adjunction, interior_by_adjunction, rand_mv, seeded
 
@@ -329,3 +341,116 @@ def test_exactness_through_operation_chain():
     chain = interior(e(6, 1, dual=True), wedge(a, b))
     val = chain.coeff((2, 5))
     assert val == Fraction(2, 15) and val.denominator == 15
+
+
+# -- term kernels on cancelling sums -----------------------------------------------
+
+
+def _wedge_by_adjunction(a, b):
+    """Independent a ^ b: the e_T coefficient is <i_a(e^T), b>."""
+    terms = {}
+    for T in basis_subsets(a.dim, a.grade + b.grade):
+        c = pairing(contract_by_adjunction(a, e(a.dim, *T, dual=True)), b)
+        if c:
+            terms[mask_of(T)] = c
+    return terms
+
+
+def _annihilator(factors, n):
+    """A nonzero covector vanishing on every factor."""
+    rows = [[f.coeff((i,)) for i in range(1, n + 1)] for f in factors]
+    vec = nullspace(rows, n)[0]
+    return Multivector(n, 1, {1 << i: c for i, c in enumerate(vec)}, dual=True)
+
+
+def _cancelling_cases():
+    """(a, b) operand pairs whose sums cancel wholly or in part: wedges and
+    contractions of decomposable inputs built from int and Fraction factors,
+    plus hand-made partial cancellations."""
+    n = 6
+    cases = [
+        # e_1 ^ e_{2,3} and e_2 ^ e_{1,3} cancel; the e_{4,5} products stay.
+        (e(n, 1) + e(n, 2), e(n, 2, 3) + e(n, 1, 3) + e(n, 4, 5)),
+        # i(e^2 - e^3) sends e_{1,2} and e_{1,3} to cancelling multiples of e_1.
+        (e(n, 2, dual=True) - e(n, 3, dual=True), e(n, 1, 2) + e(n, 1, 3) + e(n, 2, 4)),
+    ]
+    for seed, scale in ((0, 1), (1, Fraction(1, 3)), (2, Fraction(5, 7))):
+        rng = seeded(120, seed)
+        factors = [random_vector(rng, n, 4) * scale for _ in range(3)]
+        factors[1] = factors[1] * Fraction(2, 3)
+        P = from_factors(factors)
+        v = factors[0] + factors[1] * 2 + factors[2]
+        cases += [
+            (v, P),  # v ^ P = 0
+            (v + e(n, 6), P),  # only e_6 ^ P survives
+            (P, P),  # odd grade: P ^ P = 0 term by term pairs
+            (_annihilator(factors, n), P),  # i(phi)P = 0
+        ]
+    return cases
+
+
+def test_term_kernels_drop_cancelled_sums():
+    cancelled = 0
+    for a, b in _cancelling_cases():
+        if a.dual:
+            out = interior_terms(a.terms, b.terms)
+            ref = interior_by_adjunction(a, b).terms
+            touched = {mb ^ ma for ma in a.terms for mb in b.terms if ma & mb == ma}
+        else:
+            out = wedge_terms(a.terms, b.terms)
+            ref = _wedge_by_adjunction(a, b)
+            touched = {ma | mb for ma in a.terms for mb in b.terms if not ma & mb}
+        assert all(out.values()), (str(a), str(b))
+        assert out == ref, (str(a), str(b))
+        cancelled += bool(touched - set(out))
+    assert cancelled == len(_cancelling_cases())
+
+
+def _block_reference(P, pairs, d):
+    """A projection block from its definition: the signed sum of the wedges
+    D[u] ^ D[v] over the splits of ``pairs``, with D[u] = i(e^u)P by adjunction
+    and an unsorted u contributing the parity of sorting it."""
+    n, k = P.dim, len(pairs)
+    block, touched = Multivector.zero(n, 4), set()
+    for eps in product((0, 1), repeat=k - 1):
+        side = (0,) + eps
+        u = [pairs[j][side[j]] for j in range(k)]
+        v = [pairs[j][1 - side[j]] for j in range(k)]
+        if len(set(u)) < k or len(set(v)) < k:
+            continue
+        for w in (u, v):
+            key = tuple(sorted(w))
+            if key not in d:
+                d[key] = interior_by_adjunction(e(n, *key, dual=True), P)
+        du, dv = d[tuple(sorted(u))], d[tuple(sorted(v))]
+        sign = _parity(u) * _parity(v)
+        prod = _wedge_by_adjunction(du, dv)
+        touched |= {ma | mb for ma in du.terms for mb in dv.terms if not ma & mb}
+        block = block + Multivector(n, 4, prod) * sign
+    return block.terms, touched
+
+
+def _parity(seq):
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_projection_blocks_drop_cancelled_sums():
+    n = 6
+    rng = seeded(121)
+    factors = [random_vector(rng, n, 3) for _ in range(3)]
+    inputs = [
+        from_factors(factors),  # decomposable: every block cancels to zero
+        from_factors([f * Fraction(1, 3) for f in factors]),
+        from_factors(factors[:2] + [factors[2] + e(n, 6)]) + e(n, 1, 2, 3),
+        (e(n, 1, 2, 3, 4) + e(n, 3, 4, 5, 6)) * Fraction(2, 3) + e(n, 1, 2, 5, 6),
+    ]
+    for P in inputs:
+        d = {}
+        cancelled = False
+        for pairs, block, _ in iter_projection_blocks(P):
+            ref, touched = _block_reference(P, pairs, d)
+            assert all(block.values()), (str(P), pairs)
+            assert block == ref, (str(P), pairs)
+            cancelled |= bool(touched - set(block))
+        assert cancelled, str(P)
