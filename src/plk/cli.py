@@ -1,6 +1,7 @@
 """Command-line front end.
 
-    plk check  [--criterion NAME|all] [--mode ...] [--json] FILE
+    plk check  [--criterion NAME|all] [--mode symbolic|randomized] [--trials N]
+               [--k K] [--seed S] [--bound B] [--json] FILE
     plk factor FILE
     plk count  --dim N --grade S [--json]
     plk dims   --dim N --grade S [--json]
@@ -63,11 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **_OPTIONS[name])
 
     p = sub.add_parser("check", help="run decomposability criteria on a multivector")
-    p.add_argument(
-        "--criterion",
-        choices=("all",) + tuple(_SINGLE) + ("contraction",),
-        default="all",
-    )
+    p.add_argument("--criterion", choices=("all", *criteria.CRITERIA), default="all")
     p.add_argument("--mode", choices=("symbolic", "randomized"), default="symbolic")
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--k", type=int, default=2, help="contraction order (default 2)")

@@ -300,6 +300,12 @@ def contraction_criterion(
     _require_vector(P)
     if not isinstance(k, int) or k < 2:
         raise InputError(f"contraction order k must be an integer >= 2, got {k}")
+    if mode not in ("symbolic", "randomized"):
+        raise InputError(f"mode must be 'symbolic' or 'randomized', got {mode!r}")
+    if mode == "randomized" and trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    if mode == "randomized" and bound < 1:
+        raise InputError(f"bound must be >= 1, got {bound}")
     n, s = P.dim, P.grade
     name = f"contraction(k={k})"
     if s < 2:
@@ -309,14 +315,8 @@ def contraction_criterion(
     if mode == "symbolic":
         points = combinations(_grid_points(n), s - k)
         return _contraction_at_points(P, k, name, points, improved_pluecker, "point")
-    if mode == "randomized":
-        if trials < 1:
-            raise InputError(f"trials must be >= 1, got {trials}")
-        if bound < 1:
-            raise InputError(f"bound must be >= 1, got {bound}")
-        points = _random_points(n, s - k, trials, seed, bound)
-        return _contraction_at_points(P, k, name, points, classical_pluecker, "trial", seed)
-    raise InputError(f"mode must be 'symbolic' or 'randomized', got {mode!r}")
+    points = _random_points(n, s - k, trials, seed, bound)
+    return _contraction_at_points(P, k, name, points, classical_pluecker, "trial", seed)
 
 
 # -- optimal irreducible-component test -------------------------------------------
@@ -363,10 +363,7 @@ def is_simple_oracle(P: Multivector) -> bool:
 
     The zero multivector is decomposable by convention.
     """
-    _require_vector(P)
-    if P.is_zero():
-        return True
-    return support_space(P).rank == P.grade
+    return oracle_report(P).verdict
 
 
 def oracle_report(P: Multivector) -> CriterionReport:

@@ -90,21 +90,7 @@ def intersect_row_spaces(
     """RREF basis of the intersection of two row spaces in Q^n."""
     if not a_rows or not b_rows:
         return []
+    # The intersection is the orthogonal complement of the sum of the two
+    # complements, and each complement is a kernel.
     n = len(a_rows[0])
-    p, q = len(a_rows), len(b_rows)
-    # x in both spaces iff x = u.A = v.B; solve [A^T | -B^T] (u; v) = 0.
-    system = [
-        [a_rows[j][i] for j in range(p)] + [-b_rows[j][i] for j in range(q)]
-        for i in range(n)
-    ]
-    kernel = nullspace(system, p + q)
-    rows = []
-    for vec in kernel:
-        combo = [
-            sum((vec[j] * a_rows[j][i] for j in range(p)), Fraction(0))
-            for i in range(n)
-        ]
-        if any(combo):
-            rows.append(combo)
-    reduced, _ = rref(rows)
-    return reduced
+    return rref(nullspace(nullspace(a_rows, n) + nullspace(b_rows, n), n))[0]

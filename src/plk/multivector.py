@@ -213,11 +213,7 @@ class Multivector:
             raise InputError(f"grade mismatch: {self.grade} vs {other.grade}")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            v = terms.get(m, 0) + c
-            if v:
-                terms[m] = v
-            elif m in terms:
-                del terms[m]
+            terms[m] = terms.get(m, 0) + c
         return Multivector(self.dim, self.grade, terms, self.dual)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
@@ -230,8 +226,6 @@ class Multivector:
 
     def __mul__(self, c: Coeff) -> "Multivector":
         _check_coeff(c)
-        if not c:
-            return Multivector.zero(self.dim, self.grade, self.dual)
         return Multivector(
             self.dim, self.grade, {m: c * v for m, v in self.terms.items()}, self.dual
         )
@@ -282,6 +276,14 @@ class Multivector:
 
 
 # -- term-level kernels (no validation; used by hot loops) --------------------
+#
+# Each kernel accumulates its sparse sum, then returns a dict with no zero
+# coefficient: ``_nonzero`` drops the cancelled keys once, at the end.
+
+
+def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
+    """``terms`` without its zero coefficients (itself when it has none)."""
+    return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
 def wedge_terms(a: Mapping[int, Coeff], b: Mapping[int, Coeff]) -> dict[int, Coeff]:
@@ -291,12 +293,8 @@ def wedge_terms(a: Mapping[int, Coeff], b: Mapping[int, Coeff]) -> dict[int, Coe
             if ma & mb:
                 continue
             m = ma | mb
-            v = out.get(m, 0) + (ca * cb if shuffle_sign(ma, mb) > 0 else -ca * cb)
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
+            out[m] = out.get(m, 0) + (ca * cb if shuffle_sign(ma, mb) > 0 else -ca * cb)
+    return _nonzero(out)
 
 
 def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int, Coeff]:
@@ -307,14 +305,10 @@ def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int
             if mph & mp != mph:
                 continue
             rest = mp ^ mph
-            v = out.get(rest, 0) + (
+            out[rest] = out.get(rest, 0) + (
                 cph * cp if shuffle_sign(mph, rest) > 0 else -cph * cp
             )
-            if v:
-                out[rest] = v
-            elif rest in out:
-                del out[rest]
-    return out
+    return _nonzero(out)
 
 
 def contract_terms(p: Mapping[int, Coeff], psi: Mapping[int, Coeff]) -> dict[int, Coeff]:

@@ -75,8 +75,13 @@ def random_simple(
             return p
 
 
+# Rejection at a legal (dim, grade) succeeds almost surely within a few draws;
+# exhausting this cap indicates a bug rather than bad luck.
+_MAX_TRIES = 10_000
+
+
 def random_nonsimple(
-    rng: random.Random, dim: int, grade: int, bound: int = 10, max_tries: int = 10_000
+    rng: random.Random, dim: int, grade: int, bound: int = 10
 ) -> Multivector:
     """Random non-decomposable multivector, by rejection against the oracle.
 
@@ -88,12 +93,10 @@ def random_nonsimple(
             f"every multivector of grade {grade} in dimension {dim} is "
             "decomposable; cannot generate a non-decomposable one"
         )
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         p = random_multivector(rng, dim, grade, bound)
         if not is_simple_oracle(p):
             return p
-    # Rejection at legal (dim, grade) succeeds almost surely within a few
-    # draws; exhausting the cap indicates a bug rather than bad luck.
     raise InvariantViolation(
-        f"no non-decomposable multivector found in {max_tries} draws"
+        f"no non-decomposable multivector found in {_MAX_TRIES} draws"
     )  # pragma: no cover

@@ -24,6 +24,7 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
+    _nonzero,
     indices_of,
     interior_terms,
     mask_of,
@@ -373,8 +374,8 @@ def iter_projection_blocks(
 
     Yields (pairs, block, denom) where ``pairs`` is a lexicographically
     increasing tuple of s-2 index pairs (a <= b), ``block`` maps each 4-subset
-    mask {c<d<e<f} to the unnormalized skew coefficient, and the projection
-    coefficient at (pairs, subset) equals block[subset] / denom.
+    mask {c<d<e<f} to its nonzero unnormalized skew coefficient, and the
+    projection coefficient at (pairs, subset) equals block[subset] / denom.
 
     The skew over the four indices of the product of two pair-contracted
     2-forms is exactly their wedge, so each block is a signed sum of wedges
@@ -415,12 +416,8 @@ def iter_projection_blocks(
             if not (su and sv and umask in d and vmask in d):
                 continue  # a repeated index, or a contraction that vanishes
             for mm, c in wedge_terms(d[umask], d[vmask]).items():
-                val = block.get(mm, 0) + (c if su == sv else -c)
-                if val:
-                    block[mm] = val
-                elif mm in block:
-                    del block[mm]
-        yield pairs, block, denom
+                block[mm] = block.get(mm, 0) + (c if su == sv else -c)
+        yield pairs, _nonzero(block), denom
 
 
 def project_tensor_square(

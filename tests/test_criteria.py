@@ -220,6 +220,15 @@ def test_contraction_validates_k():
         contraction_criterion(p, 4)
     with pytest.raises(InputError):
         contraction_criterion(p, 2, mode="sideways")
+    # Arguments are checked before the vacuous pass at grades below 2.
+    for low in (e(4, 1), Multivector.scalar(4, 3)):
+        with pytest.raises(InputError):
+            contraction_criterion(low, 2, mode="bogus")
+        with pytest.raises(InputError):
+            contraction_criterion(low, 2, mode="randomized", trials=0)
+        with pytest.raises(InputError):
+            contraction_criterion(low, 2, mode="randomized", bound=0)
+        assert contraction_criterion(low, 2, trials=0, bound=0).verdict
 
 
 def test_contraction_low_grade_vacuous():
