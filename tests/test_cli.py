@@ -219,6 +219,15 @@ def test_random_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("kind", ("--simple", "--nonsimple"))
+def test_random_file_equals_stdout(kind, tmp_path, capsys):
+    args = ("random", "--dim", "6", "--grade", "3", kind, "--seed", "4", "--bound", "3")
+    out_path = tmp_path / "r.json"
+    assert run_cli(capsys, *args, str(out_path)) == (0, "", "")
+    _, out, _ = run_cli(capsys, *args)
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
 def test_random_grade_one_nonsimple_impossible(capsys):
     code, _, err = run_cli(
         capsys, "random", "--dim", "5", "--grade", "1", "--nonsimple"

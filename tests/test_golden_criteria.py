@@ -1,5 +1,6 @@
 """Golden outputs of the linear Pluecker-type criteria, the optimal
-component test, both modes of the contraction criterion and ``plk count``.
+component test, both modes of the contraction criterion, the oracle, the
+default ``plk check`` run of all seven, and ``plk count``.
 
 The expectations are literal CLI output, so any change to a verdict, an
 equation count, a witness or its text shows up byte for byte.
@@ -122,6 +123,18 @@ def test_exact_contraction_stdout_is_golden(name, k, tmp_path, capsys):
     path = write_input(tmp_path, name)
     argv = ("check", "--criterion", "contraction", "--k", str(k), path)
     assert run_cli(capsys, *argv) == EXACT_STDOUT[(name, k)]
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_check_all_stdout_is_golden(name, tmp_path, capsys):
+    path = write_input(tmp_path, name)
+    assert run_cli(capsys, "check", path) == CHECK_STDOUT[name]
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_oracle_stdout_is_golden(name, tmp_path, capsys):
+    path = write_input(tmp_path, name)
+    assert run_cli(capsys, "check", "--criterion", "oracle", path) == ORACLE_STDOUT[name]
 
 
 # -- expectations ---------------------------------------------------------------
@@ -366,3 +379,161 @@ EXACT_STDOUT = {('dense-6-3', 2): (1,
                            'contraction(k=3)   false  equations=6  witness: Psi=e^{1} -> component '
                            'e_{2,3,4,5,6} = 1/9\n'
                            'result: not-simple\n')}
+
+CHECK_STDOUT = {'dense-6-3': (1,
+               'classical          false  equations=7  witness: Phi=e^{1,2} -> component '
+               'e_{1,3,4,5} = -12\n'
+               'dual               false  equations=4  witness: Psi=e^{1,2,3,4} -> component '
+               'e_{1,5} = -12\n'
+               'improved           false  equations=1  witness: Psi=e^{1} -> component '
+               'e_{1,2,3,4,5} = 24\n'
+               'dual-improved      false  equations=1  witness: Psi=e^{1,2,3,4,5} -> component '
+               'e_{1} = 24\n'
+               'contraction(k=2)   false  equations=11  witness: point 0, alphas=[(1, 0, 0, 0, 0, '
+               '0)]: Psi=e^{} -> component e_{2,3,4,5} = 24\n'
+               'optimal            false  equations=11  witness: pairs=({1,1}), skew over '
+               'e_{2,3,4,5}: coefficient = 4\n'
+               'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+               'result: not-simple\n'),
+ 'dense-7-4': (1,
+               'classical          false  equations=7  witness: Phi=e^{1,2,3} -> component '
+               'e_{1,2,4,5,6} = 28\n'
+               'dual               false  equations=4  witness: Psi=e^{1,2,3,4,5} -> component '
+               'e_{1,2,6} = 28\n'
+               'improved           false  equations=1  witness: Psi=e^{1,2} -> component '
+               'e_{1,2,3,4,5,6} = 56\n'
+               'dual-improved      false  equations=1  witness: Psi=e^{1,2,3,4,5,6} -> component '
+               'e_{1,2} = 56\n'
+               'contraction(k=2)   false  equations=31  witness: point 0, alphas=[(1, 0, 0, 0, 0, '
+               '0, 0), (0, 1, 0, 0, 0, 0, 0)]: Psi=e^{} -> component e_{3,4,5,6} = 56\n'
+               'optimal            false  equations=276  witness: pairs=({1,1},{2,2}), skew over '
+               'e_{3,4,5,6}: coefficient = 28/3\n'
+               'oracle             false  equations=35  witness: support rank 7 != grade 4\n'
+               'result: not-simple\n'),
+ 'grade-0': (0,
+             'classical          true   equations=0\n'
+             'dual               true   equations=0\n'
+             'improved           true   equations=0\n'
+             'dual-improved      true   equations=0\n'
+             'contraction(k=2)   true   equations=0\n'
+             'oracle             true   equations=0\n'
+             'result: simple\n'),
+ 'grade-1': (0,
+             'classical          true   equations=10\n'
+             'dual               true   equations=10\n'
+             'improved           true   equations=0\n'
+             'dual-improved      true   equations=0\n'
+             'contraction(k=2)   true   equations=0\n'
+             'oracle             true   equations=1\n'
+             'result: simple\n'),
+ 'grade-4': (0,
+             'classical          true   equations=10\n'
+             'dual               true   equations=10\n'
+             'improved           true   equations=0\n'
+             'dual-improved      true   equations=0\n'
+             'contraction(k=2)   true   equations=525\n'
+             'optimal            true   equations=600\n'
+             'oracle             true   equations=10\n'
+             'result: simple\n'),
+ 'grade-5': (0,
+             'classical          true   equations=0\n'
+             'dual               true   equations=0\n'
+             'improved           true   equations=0\n'
+             'dual-improved      true   equations=0\n'
+             'contraction(k=2)   true   equations=2275\n'
+             'optimal            true   equations=3400\n'
+             'oracle             true   equations=5\n'
+             'result: simple\n'),
+ 'simple-6-3': (0,
+                'classical          true   equations=225\n'
+                'dual               true   equations=225\n'
+                'improved           true   equations=36\n'
+                'dual-improved      true   equations=36\n'
+                'contraction(k=2)   true   equations=315\n'
+                'optimal            true   equations=315\n'
+                'oracle             true   equations=15\n'
+                'result: simple\n'),
+ 'sparse-6-3': (1,
+                'classical          false  equations=15  witness: Phi=e^{1,2} -> component '
+                'e_{3,4,5,6} = 1\n'
+                'dual               false  equations=15  witness: Psi=e^{1,2,3,4} -> component '
+                'e_{5,6} = 1\n'
+                'improved           false  equations=6  witness: Psi=e^{1} -> component '
+                'e_{2,3,4,5,6} = 1\n'
+                'dual-improved      false  equations=6  witness: Psi=e^{1,2,3,4,5} -> component '
+                'e_{6} = 1\n'
+                'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, 0, 0, 1, '
+                '0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2\n'
+                'optimal            false  equations=58  witness: pairs=({1,4}), skew over '
+                'e_{2,3,5,6}: coefficient = 1/6\n'
+                'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+                'result: not-simple\n'),
+ 'sparse-7-4': (1,
+                'classical          false  equations=15  witness: Phi=e^{1,2,3} -> component '
+                'e_{1,4,5,6,7} = -1\n'
+                'dual               false  equations=15  witness: Psi=e^{1,2,3,4,5} -> component '
+                'e_{1,6,7} = -1\n'
+                'improved           false  equations=6  witness: Psi=e^{1,2} -> component '
+                'e_{1,3,4,5,6,7} = 1\n'
+                'dual-improved      false  equations=6  witness: Psi=e^{1,2,3,4,5,6} -> component '
+                'e_{1,7} = 1\n'
+                'contraction(k=2)   false  equations=523  witness: point 14, alphas=[(1, 0, 0, 0, '
+                '0, 0, 0), (0, 1, 0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{3,4,6,7} = 2\n'
+                'optimal            false  equations=383  witness: pairs=({1,1},{2,5}), skew over '
+                'e_{3,4,6,7}: coefficient = 1/6\n'
+                'oracle             false  equations=35  witness: support rank 7 != grade 4\n'
+                'result: not-simple\n'),
+ 'third-6-3': (1,
+               'classical          false  equations=7  witness: Phi=e^{1,2} -> component '
+               'e_{1,3,4,5} = -4/3\n'
+               'dual               false  equations=4  witness: Psi=e^{1,2,3,4} -> component '
+               'e_{1,5} = -4/3\n'
+               'improved           false  equations=1  witness: Psi=e^{1} -> component '
+               'e_{1,2,3,4,5} = 8/3\n'
+               'dual-improved      false  equations=1  witness: Psi=e^{1,2,3,4,5} -> component '
+               'e_{1} = 8/3\n'
+               'contraction(k=2)   false  equations=11  witness: point 0, alphas=[(1, 0, 0, 0, 0, '
+               '0)]: Psi=e^{} -> component e_{2,3,4,5} = 8/3\n'
+               'optimal            false  equations=11  witness: pairs=({1,1}), skew over '
+               'e_{2,3,4,5}: coefficient = 4/9\n'
+               'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+               'result: not-simple\n'),
+ 'third-sparse-6-3': (1,
+                      'classical          false  equations=15  witness: Phi=e^{1,2} -> component '
+                      'e_{3,4,5,6} = 1/9\n'
+                      'dual               false  equations=15  witness: Psi=e^{1,2,3,4} -> '
+                      'component e_{5,6} = 1/9\n'
+                      'improved           false  equations=6  witness: Psi=e^{1} -> component '
+                      'e_{2,3,4,5,6} = 1/9\n'
+                      'dual-improved      false  equations=6  witness: Psi=e^{1,2,3,4,5} -> '
+                      'component e_{6} = 1/9\n'
+                      'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, 0, '
+                      '0, 1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2/9\n'
+                      'optimal            false  equations=58  witness: pairs=({1,4}), skew over '
+                      'e_{2,3,5,6}: coefficient = 1/54\n'
+                      'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+                      'result: not-simple\n')}
+
+ORACLE_STDOUT = {'dense-6-3': (1,
+               'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+               'result: not-simple\n'),
+ 'dense-7-4': (1,
+               'oracle             false  equations=35  witness: support rank 7 != grade 4\n'
+               'result: not-simple\n'),
+ 'grade-0': (0, 'oracle             true   equations=0\nresult: simple\n'),
+ 'grade-1': (0, 'oracle             true   equations=1\nresult: simple\n'),
+ 'grade-4': (0, 'oracle             true   equations=10\nresult: simple\n'),
+ 'grade-5': (0, 'oracle             true   equations=5\nresult: simple\n'),
+ 'simple-6-3': (0, 'oracle             true   equations=15\nresult: simple\n'),
+ 'sparse-6-3': (1,
+                'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+                'result: not-simple\n'),
+ 'sparse-7-4': (1,
+                'oracle             false  equations=35  witness: support rank 7 != grade 4\n'
+                'result: not-simple\n'),
+ 'third-6-3': (1,
+               'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+               'result: not-simple\n'),
+ 'third-sparse-6-3': (1,
+                      'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
+                      'result: not-simple\n')}
