@@ -29,18 +29,6 @@ from .criteria import (
 )
 from .multivector import InputError
 
-_SINGLE = {
-    "classical": criteria.classical_pluecker,
-    "dual": criteria.dual_pluecker,
-    "improved": criteria.improved_pluecker,
-    "dual-improved": criteria.dual_improved_pluecker,
-    "optimal": criteria.optimal_component_test,
-    "oracle": criteria.oracle_report,
-}
-
-_COUNTED = ("classical", "dual", "improved", "dual-improved", "optimal")
-
-
 # Each subcommand declares only the options its cmd_* function reads.
 _OPTIONS = {
     "--seed": dict(type=int, default=0, help="64-bit seed (default 0)"),
@@ -117,19 +105,11 @@ def cmd_check(args) -> int:
     P = serialize.load(args.file)
     if P.dual:
         raise InputError("expected a vector file (dual=false)")
+    opts = dict(k=args.k, mode=args.mode, trials=args.trials, seed=args.seed, bound=args.bound)
     if args.criterion == "all":
-        reports = run_all_criteria(
-            P, k=args.k, mode=args.mode, trials=args.trials, seed=args.seed, bound=args.bound
-        )
-    elif args.criterion == "contraction":
-        reports = [
-            criteria.contraction_criterion(
-                P, k=args.k, mode=args.mode, trials=args.trials,
-                seed=args.seed, bound=args.bound,
-            )
-        ]
+        reports = run_all_criteria(P, **opts)
     else:
-        reports = [_SINGLE[args.criterion](P)]
+        reports = [criteria.run_criterion(P, args.criterion, **opts)]
 
     verdicts = {rep.verdict for rep in reports}
     simple = reports[-1].verdict
@@ -167,11 +147,11 @@ def cmd_factor(args) -> int:
 
 def cmd_count(args) -> int:
     n, s = args.dim, args.grade
-    counts = {name: criteria.equation_count(n, s, name) for name in _COUNTED}
+    counts = {name: criteria.equation_count(n, s, name) for name in criteria.COUNTED}
     if args.json:
         print(json.dumps({"dim": n, "grade": s, "counts": counts}, indent=2))
     else:
-        cells = " ".join(f"{name}={counts[name]}" for name in _COUNTED)
+        cells = " ".join(f"{name}={c}" for name, c in counts.items())
         print(f"n={n} s={s}: {cells}")
     return 0
 
@@ -207,12 +187,10 @@ def cmd_random(args) -> int:
         P = randgen.random_simple(rng, args.dim, args.grade, args.bound)
     else:
         P = randgen.random_nonsimple(rng, args.dim, args.grade, args.bound)
-    text = serialize.dumps(P)
     if args.file:
-        with open(args.file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        serialize.dump(P, args.file)
     else:
-        print(text)
+        print(serialize.dumps(P))
     return 0
 
 

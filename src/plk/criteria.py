@@ -52,9 +52,6 @@ from .multivector import (
 )
 from .young import comb0
 
-CRITERIA = ("classical", "dual", "improved", "dual-improved", "contraction", "optimal", "oracle")
-
-
 class InvariantViolation(RuntimeError):
     """A mathematically guaranteed invariant failed; indicates a bug."""
 
@@ -568,6 +565,28 @@ def three_plane_check(family: DecomposableFamily) -> ThreePlaneBranch:
 # -- orchestration ----------------------------------------------------------------
 
 
+# name -> criterion, in report order with the oracle last.
+CRITERIA = {
+    "classical": classical_pluecker,
+    "dual": dual_pluecker,
+    "improved": improved_pluecker,
+    "dual-improved": dual_improved_pluecker,
+    "contraction": contraction_criterion,
+    "optimal": optimal_component_test,
+    "oracle": oracle_report,
+}
+# The criteria that ``equation_count`` knows.
+COUNTED = (*_LINEAR, "optimal")
+
+
+def run_criterion(P: Multivector, name: str, **contraction_opts) -> CriterionReport:
+    """The report of one criterion of ``CRITERIA``; the options (k, mode,
+    trials, seed, bound) reach the contraction criterion only."""
+    if name == "contraction":
+        return CRITERIA[name](P, **contraction_opts)
+    return CRITERIA[name](P)
+
+
 def run_all_criteria(
     P: Multivector,
     k: int = 2,
@@ -581,14 +600,8 @@ def run_all_criteria(
     The optimal component test is omitted for grades below 2 (it rejects
     them); every other criterion treats degenerate grades as vacuous passes.
     """
-    reports = [
-        classical_pluecker(P),
-        dual_pluecker(P),
-        improved_pluecker(P),
-        dual_improved_pluecker(P),
-        contraction_criterion(P, k=k, mode=mode, trials=trials, seed=seed, bound=bound),
+    return [
+        run_criterion(P, name, k=k, mode=mode, trials=trials, seed=seed, bound=bound)
+        for name in CRITERIA
+        if name != "optimal" or P.grade >= 2
     ]
-    if P.grade >= 2:
-        reports.append(optimal_component_test(P))
-    reports.append(oracle_report(P))
-    return reports

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .multivector import Coeff
+# An exact scalar; plk has no floats.
+Coeff = int | Fraction
 
 
 def _cancel(a: list[int], b: list[int], c: int) -> list[int]:

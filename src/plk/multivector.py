@@ -35,7 +35,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-Coeff = int | Fraction
+from . import linalg
+from .linalg import Coeff
 
 
 class InputError(ValueError):
@@ -97,9 +98,9 @@ def sorted_mask(indices: Sequence[int]) -> tuple[int, int]:
     return mask, sign
 
 
-def _check_coeff(c: Coeff) -> None:
+def _check_coeff(c: Coeff, what: str = "coefficients") -> None:
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise InputError(f"coefficients must be int or Fraction, got {c!r}")
+        raise InputError(f"{what} must be int or Fraction, got {c!r}")
 
 
 class Multivector:
@@ -157,9 +158,7 @@ class Multivector:
     def basis(cls, dim: int, indices: Sequence[int], dual: bool = False) -> "Multivector":
         """Basis element e_{i1,...,ik} (indices strictly increasing)."""
         idx = tuple(indices)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise InputError(f"indices must be strictly increasing, got {idx}")
-        return cls(dim, len(idx), {mask_of(idx): 1}, dual)
+        return cls.from_terms(dim, len(idx), [(idx, 1)], dual)
 
     @classmethod
     def from_terms(
@@ -169,16 +168,24 @@ class Multivector:
         pairs: Iterable[tuple[Sequence[int], Coeff]],
         dual: bool = False,
     ) -> "Multivector":
-        """Build from (indices, coeff) pairs; indices strictly increasing."""
+        """Build from (indices, coeff) pairs: ``grade`` strictly increasing
+        indices in [1, dim], no tuple twice, an int or Fraction coeff.  An
+        InputError names the offending term by position and indices, e.g.
+        ``term 1 (indices [1, 9]): indices must lie in [1, 4]``."""
         terms: dict[int, Coeff] = {}
-        for idx, c in pairs:
-            idx = tuple(idx)
+        for pos, (idx, c) in enumerate(pairs):
+            idx = list(idx)
+            where = f"term {pos} (indices {idx})"
+            if len(idx) != grade:
+                raise InputError(f"{where}: expected {grade} indices")
             if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise InputError(f"indices must be strictly increasing, got {idx}")
+                raise InputError(f"{where}: indices must be strictly increasing")
+            if idx and (idx[0] < 1 or idx[-1] > dim):
+                raise InputError(f"{where}: indices must lie in [1, {dim}]")
             mask = mask_of(idx)
             if mask in terms:
-                raise InputError(f"duplicate index set {idx}")
-            _check_coeff(c)
+                raise InputError(f"{where}: duplicate index set")
+            _check_coeff(c, f"{where}: coeff")
             terms[mask] = c
         return cls(dim, grade, terms, dual)
 
@@ -412,8 +419,6 @@ def support_space(p: Multivector) -> SupportSpace:
     Every subspace U with p in Lambda^grade(U) contains the result; p is
     decomposable exactly when the rank equals the grade.
     """
-    from . import linalg
-
     if p.dual:
         raise InputError("support space is defined for vectors")
     s = p.grade

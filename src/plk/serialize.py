@@ -8,8 +8,9 @@ Format (UTF-8 JSON object):
 Indices are 1-based and strictly increasing; a coefficient is a JSON integer
 or a string holding an optionally signed integer or "p/q".  Duplicate index
 sets, floats, zero denominators, and out-of-range indices are input errors
-that name the offending term.  Emission normalizes: terms sorted by index
-tuple, coefficients in lowest terms, integers emitted as JSON numbers.
+that name the offending term; a file that is not UTF-8 JSON is one too.
+Emission normalizes: terms sorted by index tuple, coefficients in lowest
+terms, integers emitted as JSON numbers.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
-from .multivector import Coeff, InputError, Multivector, mask_of
+from .multivector import Coeff, InputError, Multivector
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -36,7 +37,23 @@ def _parse_coeff(raw: Any, where: str) -> Coeff:
             return Fraction(raw)
         except ZeroDivisionError:
             raise InputError(f"{where}: zero denominator in {raw!r}") from None
+        except ValueError as e:  # an integer past sys.get_int_max_str_digits()
+            raise InputError(f"{where}: coefficient too long: {e}") from None
     raise InputError(f"{where}: coeff must be an integer or 'p/q' string, got {raw!r}")
+
+
+def _term_pairs(raw_terms: list) -> Iterator[tuple[list[int], Coeff]]:
+    """(indices, coeff) per JSON term; ``Multivector.from_terms`` checks them."""
+    for pos, item in enumerate(raw_terms):
+        where = f"term {pos}"
+        if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
+            raise InputError(f"{where}: expected {{'indices': [...], 'coeff': ...}}")
+        idx = item["indices"]
+        if not isinstance(idx, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in idx
+        ):
+            raise InputError(f"{where}: indices must be a list of integers")
+        yield idx, _parse_coeff(item["coeff"], f"term {pos} (indices {idx})")
 
 
 def parse_multivector(obj: Any) -> Multivector:
@@ -48,35 +65,13 @@ def parse_multivector(obj: Any) -> Multivector:
             raise InputError(f"missing field {field!r}")
         if isinstance(obj[field], bool) or not isinstance(obj[field], int):
             raise InputError(f"field {field!r} must be an integer")
-    dim, grade = obj["dim"], obj["grade"]
     dual = obj.get("dual", False)
     if not isinstance(dual, bool):
         raise InputError("field 'dual' must be a boolean")
     raw_terms = obj.get("terms", [])
     if not isinstance(raw_terms, list):
         raise InputError("field 'terms' must be an array")
-    terms: dict[int, Coeff] = {}
-    for pos, item in enumerate(raw_terms):
-        where = f"term {pos}"
-        if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
-            raise InputError(f"{where}: expected {{'indices': [...], 'coeff': ...}}")
-        idx = item["indices"]
-        if not isinstance(idx, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in idx
-        ):
-            raise InputError(f"{where}: indices must be a list of integers")
-        where = f"term {pos} (indices {idx})"
-        if len(idx) != grade:
-            raise InputError(f"{where}: expected {grade} indices")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise InputError(f"{where}: indices must be strictly increasing")
-        if idx and (idx[0] < 1 or idx[-1] > dim):
-            raise InputError(f"{where}: indices must lie in [1, {dim}]")
-        mask = mask_of(idx)
-        if mask in terms:
-            raise InputError(f"{where}: duplicate index set")
-        terms[mask] = _parse_coeff(item["coeff"], where)
-    return Multivector(dim, grade, terms, dual)
+    return Multivector.from_terms(obj["dim"], obj["grade"], _term_pairs(raw_terms), dual)
 
 
 def emit_multivector(m: Multivector) -> dict:
@@ -91,12 +86,24 @@ def emit_multivector(m: Multivector) -> dict:
     return {"dim": m.dim, "grade": m.grade, "dual": m.dual, "terms": terms}
 
 
-def loads(text: str) -> Multivector:
+def _decode(text: str) -> Any:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # also: too many digits, deep nesting
         raise InputError(f"malformed JSON: {e}") from None
-    return parse_multivector(obj)
+
+
+def _read(path: str) -> Any:
+    """The decoded JSON content of the file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _decode(fh.read())
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def loads(text: str) -> Multivector:
+    return parse_multivector(_decode(text))
 
 
 def dumps(m: Multivector) -> str:
@@ -104,8 +111,7 @@ def dumps(m: Multivector) -> str:
 
 
 def load(path: str) -> Multivector:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    return parse_multivector(_read(path))
 
 
 def dump(m: Multivector, path: str) -> None:
@@ -115,11 +121,7 @@ def dump(m: Multivector, path: str) -> None:
 
 def load_family(path: str) -> list[Multivector]:
     """Parse a JSON array of multivector objects."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            arr = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"malformed JSON: {e}") from None
+    arr = _read(path)
     if not isinstance(arr, list):
         raise InputError("family file must hold a JSON array of multivectors")
     out = []

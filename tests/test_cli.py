@@ -108,6 +108,39 @@ def test_check_duplicate_term_exit_two(tmp_path, capsys):
     assert code == 2 and "duplicate" in err
 
 
+def _digit_limit():
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+_TERM = '{"dim": 4, "grade": 2, "terms": [{"indices": [1, 2], "coeff": %s}]}'
+_UNDECODABLE = {
+    "not-utf8": (_TERM % '"1\xff"').encode("latin-1"),
+    "nested-arrays": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": (_TERM % ("1" * (_digit_limit() + 1))).encode(),
+    "long-fraction": (_TERM % ('"%s/3"' % ("1" * (_digit_limit() + 1)))).encode(),
+}
+
+
+@pytest.mark.parametrize("command", ("check", "factor", "family"))
+@pytest.mark.parametrize("case", _UNDECODABLE)
+def test_undecodable_file_exits_two(case, command, tmp_path):
+    if case.startswith("long-") and not _digit_limit():
+        pytest.skip("this Python has no integer digit limit")
+    content = _UNDECODABLE[case]
+    if command == "family" and case != "nested-arrays":
+        content = b"[" + content + b"]"
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    # in a child with a timeout, as the crash this guards against is a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "plk", command, str(path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_check_missing_file_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 2 and "absent.json" in err

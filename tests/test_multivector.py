@@ -88,6 +88,39 @@ def test_constructor_validates():
         Multivector(4, 0, {0: True})  # bool is not a coefficient
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Multivector.from_terms(4, 2, [((1, 2), 1), ((1, 9), 1)]),
+         "term 1 (indices [1, 9]): indices must lie in [1, 4]"),
+        (lambda: Multivector.from_terms(4, 2, [((0, 2), 1)]),
+         "term 0 (indices [0, 2]): indices must lie in [1, 4]"),
+        (lambda: Multivector.from_terms(4, 2, [((1, 2), 1), ((3,), 1)]),
+         "term 1 (indices [3]): expected 2 indices"),
+        (lambda: Multivector.from_terms(4, 2, [((2, 1), 1)]),
+         "term 0 (indices [2, 1]): indices must be strictly increasing"),
+        (lambda: Multivector.from_terms(4, 2, [((1, 3), 1), ((1, 3), 2)]),
+         "term 1 (indices [1, 3]): duplicate index set"),
+        (lambda: Multivector.from_terms(4, 2, [((1, 3), 0.5)]),
+         "term 0 (indices [1, 3]): coeff must be int or Fraction, got 0.5"),
+        (lambda: Multivector.basis(4, (1, 9)),
+         "term 0 (indices [1, 9]): indices must lie in [1, 4]"),
+        (lambda: Multivector.basis(4, (3, 2), dual=True),
+         "term 0 (indices [3, 2]): indices must be strictly increasing"),
+        (lambda: Multivector.basis(4, (2, 2)),
+         "term 0 (indices [2, 2]): indices must be strictly increasing"),
+    ],
+    ids=[
+        "range-high", "range-low", "length", "order", "duplicate", "coeff",
+        "basis-range", "basis-order", "basis-repeat",
+    ],
+)
+def test_term_errors_name_the_term(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_grade_above_dim_only_zero():
     z = Multivector.zero(3, 5)
     assert z.is_zero() and z.grade == 5
