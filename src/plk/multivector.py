@@ -172,6 +172,7 @@ class Multivector:
         indices in [1, dim], no tuple twice, an int or Fraction coeff.  An
         InputError names the offending term by position and indices, e.g.
         ``term 1 (indices [1, 9]): indices must lie in [1, 4]``."""
+        cls(dim, grade)  # reject a bad dim or grade before naming any term
         terms: dict[int, Coeff] = {}
         for pos, (idx, c) in enumerate(pairs):
             idx = list(idx)

@@ -45,14 +45,13 @@ def _parse_coeff(raw: Any, where: str) -> Coeff:
 def _term_pairs(raw_terms: list) -> Iterator[tuple[list[int], Coeff]]:
     """(indices, coeff) per JSON term; ``Multivector.from_terms`` checks them."""
     for pos, item in enumerate(raw_terms):
-        where = f"term {pos}"
         if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
-            raise InputError(f"{where}: expected {{'indices': [...], 'coeff': ...}}")
+            raise InputError(f"term {pos}: expected {{'indices': [...], 'coeff': ...}}")
         idx = item["indices"]
         if not isinstance(idx, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in idx
         ):
-            raise InputError(f"{where}: indices must be a list of integers")
+            raise InputError(f"term {pos}: indices must be a list of integers")
         yield idx, _parse_coeff(item["coeff"], f"term {pos} (indices {idx})")
 
 

@@ -109,10 +109,14 @@ def test_constructor_validates():
          "term 0 (indices [3, 2]): indices must be strictly increasing"),
         (lambda: Multivector.basis(4, (2, 2)),
          "term 0 (indices [2, 2]): indices must be strictly increasing"),
+        (lambda: Multivector.from_terms("4", 1, [((1,), 1)]),
+         "dim must be an integer in [1, 64], got 4"),
+        (lambda: Multivector.from_terms(4, None, [((1,), 1)]),
+         "grade must be a nonnegative integer, got None"),
     ],
     ids=[
         "range-high", "range-low", "length", "order", "duplicate", "coeff",
-        "basis-range", "basis-order", "basis-repeat",
+        "basis-range", "basis-order", "basis-repeat", "bad-dim", "bad-grade",
     ],
 )
 def test_term_errors_name_the_term(build, message):
