@@ -132,7 +132,7 @@ def test_undecodable_file_exits_two(case, command, tmp_path):
         content = b"[" + content + b"]"
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    # in a child with a timeout, as the crash this guards against is a traceback
+    # in a child, so an uncaught exception shows as its traceback and exit 1
     proc = subprocess.run(
         [sys.executable, "-m", "plk", command, str(path)],
         capture_output=True, text=True, timeout=30,
