@@ -30,7 +30,9 @@ from plk import (
     three_plane_check,
     wedge,
 )
+from plk.criteria import CRITERIA
 from plk.multivector import basis_subsets
+from plk.young import TwoColumnShape, isotypic_probe, iter_projection_blocks
 from plk.randgen import random_nonsimple, random_simple
 
 from util import rand_mv, seeded
@@ -647,5 +649,20 @@ def test_kernel_dimension_matches_wedge_matrix_rank():
 
 
 def test_reports_reject_covectors():
-    with pytest.raises(InputError):
-        classical_pluecker(e(4, 1, 2, dual=True))
+    # every entry point that is defined on vectors only refuses a covector
+    cov = e(4, 1, 2, dual=True) + e(4, 3, 4, dual=True)
+    cov3 = e(6, 1, 2, 3, dual=True)
+    probes = [e(4, i, dual=True) for i in (1, 2, 3, 4)]
+    calls = [
+        *(lambda f=f: f(cov) for f in CRITERIA.values()),
+        lambda: kernel_dimension(cov),
+        lambda: factorize(cov),
+        lambda: support_space(cov),
+        lambda: next(iter_projection_blocks(cov3)),
+        lambda: isotypic_probe(cov, TwoColumnShape(2, 2), probes),
+        lambda: DecomposableFamily((e(4, 1, 2), e(4, 1, 2, dual=True))),
+    ]
+    assert len(calls) == 13
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
