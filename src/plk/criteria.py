@@ -39,6 +39,7 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
+    basis_subsets,
     contract_into,
     contract_terms,
     indices_of,
@@ -46,6 +47,8 @@ from .multivector import (
     interior_terms,
     mask_of,
     pairing,
+    require_vector,
+    subset_rank,
     support_space,
     wedge,
     wedge_terms,
@@ -104,23 +107,6 @@ class CriterionReport:
             raise ValueError("witness must be present exactly when the verdict is false")
 
 
-def _require_vector(P: Multivector) -> None:
-    if P.dual:
-        raise InputError("criteria apply to vectors, not covectors")
-
-
-def _comb_rank(tup: Sequence[int], n: int) -> int:
-    """1-based lexicographic position of a combination of 1..n."""
-    r = len(tup)
-    pos = 0
-    prev = 0
-    for slot, v in enumerate(tup):
-        for x in range(prev + 1, v):
-            pos += comb0(n - x, r - slot - 1)
-        prev = v
-    return pos + 1
-
-
 def _fmt(idx: Sequence[int]) -> str:
     return ",".join(map(str, idx))
 
@@ -145,7 +131,7 @@ _LINEAR = {
 
 def _pluecker(P: Multivector, name: str) -> CriterionReport:
     """Shared sweep: quantify over basis covectors of one grade, lex order."""
-    _require_vector(P)
+    require_vector(P, "P")
     shift, dual = _LINEAR[name]
     n, s = P.dim, P.grade
     if s < shift:
@@ -155,7 +141,7 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
     per_equation = comb0(n, out_grade)
     symbol = "Phi" if name == "classical" else "Psi"
     checked = 0
-    for S in combinations(range(1, n + 1), quant_grade):
+    for S in basis_subsets(n, quant_grade):
         q = {mask_of(S): 1}
         if dual:
             out = interior_terms(contract_terms(terms, q), terms)
@@ -163,7 +149,7 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
             out = wedge_terms(interior_terms(q, terms), terms)
         if out:
             comp, val = _first_component(out)
-            checked += _comb_rank(comp, n)
+            checked += subset_rank(comp, n)
             witness = Witness(
                 equation=(S,),
                 component=comp,
@@ -294,7 +280,7 @@ def contraction_criterion(
     evaluation certifies failure, while an all-zero run yields a pass
     flagged as probabilistic.  With k = s both modes run one check of P.
     """
-    _require_vector(P)
+    require_vector(P, "P")
     if not isinstance(k, int) or k < 2:
         raise InputError(f"contraction order k must be an integer >= 2, got {k}")
     if mode not in ("symbolic", "randomized"):
@@ -328,7 +314,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
     enumerated; for a pass this is the full family,
     multichoose(pairs, s-2) * C(n,4).
     """
-    _require_vector(P)
+    require_vector(P, "P")
     s = P.grade
     if s < 2:
         raise InputError(f"optimal component test needs grade >= 2, got {s}")
@@ -339,7 +325,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
         if block:
             comp, raw = _first_component(block)
             val = Fraction(raw, denom)
-            checked += _comb_rank(comp, n)
+            checked += subset_rank(comp, n)
             pair_txt = ",".join("{%d,%d}" % p for p in pairs) or "-"
             witness = Witness(
                 equation=(pairs, comp),
@@ -365,7 +351,7 @@ def is_simple_oracle(P: Multivector) -> bool:
 
 def oracle_report(P: Multivector) -> CriterionReport:
     """The rank oracle packaged as a report (for CLI and agreement checks)."""
-    _require_vector(P)
+    require_vector(P, "P")
     n, s = P.dim, P.grade
     generators = comb0(n, s - 1)
     if P.is_zero():
@@ -388,7 +374,7 @@ def kernel_dimension(P: Multivector) -> int:
     Independent cross-check of the support-space oracle: the dimension equals
     the grade exactly for nonzero decomposable multivectors.
     """
-    _require_vector(P)
+    require_vector(P, "P")
     n = P.dim
     # Scaling P keeps the kernel: clear its denominators so that the wedges
     # and the elimination run on integers, not Fractions.
@@ -396,8 +382,6 @@ def kernel_dimension(P: Multivector) -> int:
     terms = {m: c.numerator * (d // c.denominator) for m, c in P.terms.items()}
     rows = [wedge_terms({1 << i: 1}, terms) for i in range(n)]
     cols = sorted(set().union(*rows))
-    if not cols:
-        return n  # v ^ P = 0 for every v: P is zero or of top grade
     return n - linalg.rank([[row.get(m, 0) for m in cols] for row in rows])
 
 
@@ -418,7 +402,7 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     overall coefficient); None when P is not decomposable or has grade 0.
     The zero multivector yields grade-1 zero factors.
     """
-    _require_vector(P)
+    require_vector(P, "P")
     s = P.grade
     if s == 0:
         return None
@@ -446,7 +430,7 @@ def duality_identity_check(
     Must hold identically with this package's conventions; exercised in the
     tests as a validation of the interior/contraction sign choices.
     """
-    _require_vector(P)
+    require_vector(P, "P")
     s = P.grade
     if s < 1:
         raise InputError("identity needs grade >= 1")
@@ -505,8 +489,7 @@ class DecomposableFamily:
             raise InputError("family must be nonempty")
         first = members[0]
         for i, p in enumerate(members):
-            if p.dual:
-                raise InputError(f"member {i} is a covector")
+            require_vector(p, f"family member {i}")
             if p.dim != first.dim or p.grade != first.grade:
                 raise InputError(
                     f"member {i} has (dim, grade) = ({p.dim}, {p.grade}), "
@@ -587,21 +570,15 @@ def run_criterion(P: Multivector, name: str, **contraction_opts) -> CriterionRep
     return CRITERIA[name](P)
 
 
-def run_all_criteria(
-    P: Multivector,
-    k: int = 2,
-    mode: str = "symbolic",
-    trials: int = 64,
-    seed: int = 0,
-    bound: int = 10,
-) -> list[CriterionReport]:
-    """All applicable criterion reports for P, oracle last.
+def run_all_criteria(P: Multivector, **contraction_opts) -> list[CriterionReport]:
+    """All applicable criterion reports for P, oracle last; the options
+    (k, mode, trials, seed, bound) reach the contraction criterion only.
 
     The optimal component test is omitted for grades below 2 (it rejects
     them); every other criterion treats degenerate grades as vacuous passes.
     """
     return [
-        run_criterion(P, name, k=k, mode=mode, trials=trials, seed=seed, bound=bound)
+        run_criterion(P, name, **contraction_opts)
         for name in CRITERIA
         if name != "optimal" or P.grade >= 2
     ]

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -103,6 +104,30 @@ def _check_coeff(c: Coeff, what: str = "coefficients") -> None:
         raise InputError(f"{what} must be int or Fraction, got {c!r}")
 
 
+def check_dim(dim: int) -> None:
+    """Refuse a dimension the bitmasks do not cover."""
+    if not isinstance(dim, int) or not (1 <= dim <= 64):
+        raise InputError(f"dim must be an integer in [1, 64], got {dim}")
+
+
+def require_vector(p: Multivector, what: str) -> None:
+    """Refuse a covector where only vectors are defined."""
+    if p.dual:
+        raise InputError(f"{what} must be a vector, not a covector")
+
+
+def _index_mask(dim: int, grade: int, idx: list[int], where: str) -> int:
+    """Mask of ``grade`` strictly increasing indices in [1, dim]; an
+    InputError names the indices by ``where``."""
+    if len(idx) != grade:
+        raise InputError(f"{where}: expected {grade} indices")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise InputError(f"{where}: indices must be strictly increasing")
+    if idx and (idx[0] < 1 or idx[-1] > dim):
+        raise InputError(f"{where}: indices must lie in [1, {dim}]")
+    return mask_of(idx)
+
+
 class Multivector:
     """Grade-homogeneous sparse multivector (or covector, with dual=True).
 
@@ -120,8 +145,7 @@ class Multivector:
         terms: Mapping[int, Coeff] | None = None,
         dual: bool = False,
     ):
-        if not isinstance(dim, int) or not (1 <= dim <= 64):
-            raise InputError(f"dim must be an integer in [1, 64], got {dim}")
+        check_dim(dim)
         if not isinstance(grade, int) or grade < 0:
             raise InputError(f"grade must be a nonnegative integer, got {grade}")
         clean: dict[int, Coeff] = {}
@@ -177,13 +201,7 @@ class Multivector:
         for pos, (idx, c) in enumerate(pairs):
             idx = list(idx)
             where = f"term {pos} (indices {idx})"
-            if len(idx) != grade:
-                raise InputError(f"{where}: expected {grade} indices")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise InputError(f"{where}: indices must be strictly increasing")
-            if idx and (idx[0] < 1 or idx[-1] > dim):
-                raise InputError(f"{where}: indices must lie in [1, {dim}]")
-            mask = mask_of(idx)
+            mask = _index_mask(dim, grade, idx, where)
             if mask in terms:
                 raise InputError(f"{where}: duplicate index set")
             _check_coeff(c, f"{where}: coeff")
@@ -196,8 +214,10 @@ class Multivector:
         return not self.terms
 
     def coeff(self, indices: Sequence[int]) -> Coeff:
-        """Coefficient of the given (strictly increasing) basis subset."""
-        return self.terms.get(mask_of(indices), 0)
+        """Coefficient of a basis subset: ``grade`` strictly increasing
+        indices in [1, dim], checked as ``from_terms`` checks a term's."""
+        idx = list(indices)
+        return self.terms.get(_index_mask(self.dim, self.grade, idx, f"indices {idx}"), 0)
 
     def items(self) -> list[tuple[tuple[int, ...], Coeff]]:
         """(indices, coeff) pairs sorted by index tuple."""
@@ -334,10 +354,7 @@ def contract_terms(p: Mapping[int, Coeff], psi: Mapping[int, Coeff]) -> dict[int
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; zero (of grade j+k) past the top grade."""
     a._compatible(b)
-    grade = a.grade + b.grade
-    if grade > a.dim:
-        return Multivector.zero(a.dim, grade, a.dual)
-    return Multivector(a.dim, grade, wedge_terms(a.terms, b.terms), a.dual)
+    return Multivector(a.dim, a.grade + b.grade, wedge_terms(a.terms, b.terms), a.dual)
 
 
 def pairing(psi: Multivector, p: Multivector) -> Coeff:
@@ -420,17 +437,12 @@ def support_space(p: Multivector) -> SupportSpace:
     Every subspace U with p in Lambda^grade(U) contains the result; p is
     decomposable exactly when the rank equals the grade.
     """
-    if p.dual:
-        raise InputError("support space is defined for vectors")
+    require_vector(p, "p")
     s = p.grade
     if s == 0 or p.is_zero():
         return SupportSpace(p.dim, ())
-    gens: set[int] = set()
-    for kmask in p.terms:
-        for sub in combinations(indices_of(kmask), s - 1):
-            gens.add(mask_of(sub))
     rows = []
-    for smask in gens:
+    for smask in term_subsets(p.terms, s - 1):
         img = interior_terms({smask: 1}, p.terms)
         if img:
             rows.append([img.get(1 << i, 0) for i in range(p.dim)])
@@ -442,6 +454,24 @@ def support_space(p: Multivector) -> SupportSpace:
     return SupportSpace(p.dim, basis)
 
 
+# -- index subsets ---------------------------------------------------------------
+
+
 def basis_subsets(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """Strictly increasing r-subsets of 1..n in lexicographic order."""
     return combinations(range(1, n + 1), r)
+
+
+def subset_rank(indices: Sequence[int], n: int) -> int:
+    """1-based position of ``indices`` in ``basis_subsets(n, len(indices))``.
+
+    The subsets after it are those that first exceed it at some slot i
+    (0-based), C(n - indices[i], r - i) of them for each slot.
+    """
+    r = len(indices)
+    return comb(n, r) - sum(comb(n - v, r - i) for i, v in enumerate(indices))
+
+
+def term_subsets(terms: Iterable[int], r: int) -> set[int]:
+    """Masks of the r-subsets of the terms' index sets."""
+    return {mask_of(sub) for m in terms for sub in combinations(indices_of(m), r)}

@@ -7,17 +7,15 @@ reproducibility; coefficients are integers drawn from [-bound, bound].
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import comb
 
 from .criteria import InvariantViolation, from_factors, is_simple_oracle
-from .multivector import Coeff, InputError, Multivector, mask_of
+from .multivector import Coeff, InputError, Multivector, basis_subsets, check_dim, mask_of
 
 
 def _check_args(dim: int, bound: int, grade: int = 1) -> None:
     """Refuse up front the arguments no draw can satisfy, instead of looping."""
-    if not isinstance(dim, int) or not 1 <= dim <= 64:
-        raise InputError(f"dim must be an integer in [1, 64], got {dim}")
+    check_dim(dim)
     if not isinstance(grade, int) or not 0 <= grade <= dim:
         raise InputError(f"grade must be an integer in [0, {dim}], got {grade}")
     if not isinstance(bound, int) or bound < 1:
@@ -47,7 +45,7 @@ def random_multivector(
     _check_args(dim, bound, grade)
     total = comb(dim, grade)
     cap = min(max_terms or total, total)
-    masks = [mask_of(c) for c in combinations(range(1, dim + 1), grade)]
+    masks = [mask_of(c) for c in basis_subsets(dim, grade)]
     nterms = rng.randint(1, cap)
     chosen = rng.sample(masks, nterms)
     terms: dict[int, Coeff] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .multivector import (
@@ -27,8 +27,9 @@ from .multivector import (
     _nonzero,
     indices_of,
     interior_terms,
-    mask_of,
+    require_vector,
     sorted_mask,
+    term_subsets,
     wedge_terms,
 )
 
@@ -94,15 +95,14 @@ def hook_lengths(part: Sequence[int]) -> list[list[int]]:
     ]
 
 
+def _hook_product(part: tuple[int, ...]) -> int:
+    return prod(h for row in hook_lengths(part) for h in row)
+
+
 def standard_tableaux_count(shape) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
     part = _as_partition(shape)
-    m = sum(part)
-    denom = 1
-    for row in hook_lengths(part):
-        for h in row:
-            denom *= h
-    return factorial(m) // denom
+    return factorial(sum(part)) // _hook_product(part)
 
 
 def young_dim(n: int, shape) -> int:
@@ -115,16 +115,8 @@ def young_dim(n: int, shape) -> int:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     part = _as_partition(shape)
-    num = 1
-    for i in range(len(part)):
-        for j in range(part[i]):
-            num *= n + j - i
-    if num == 0:
-        return 0
-    den = 1
-    for row in hook_lengths(part):
-        for h in row:
-            den *= h
+    num = prod(n + j - i for i, row in enumerate(part) for j in range(row))
+    den = _hook_product(part)
     assert num % den == 0
     return num // den
 
@@ -315,8 +307,7 @@ def isotypic_probe(
     A nonzero return certifies that the component of P (x) P in the shape's
     isotypic subspace is nonzero.
     """
-    if P.dual:
-        raise InputError("probe target must be a vector")
+    require_vector(P, "probe target")
     s = P.grade
     if s < 1:
         raise InputError("probe target must have grade >= 1")
@@ -384,8 +375,7 @@ def iter_projection_blocks(
     sorting it.  Pair tuples are emitted in lexicographic order, which fixes
     the "first witness" reported upstream.
     """
-    if P.dual:
-        raise InputError("projection target must be a vector")
+    require_vector(P, "projection target")
     s = P.grade
     if s < 2:
         raise InputError(f"projection needs grade >= 2, got {s}")
@@ -396,12 +386,7 @@ def iter_projection_blocks(
         return
 
     # D[u] = i(e^u)P, the 2-form P(u, x, y), for every sorted u inside a term.
-    d: dict[int, dict[int, Coeff]] = {}
-    for kmask in P.terms:
-        for u in combinations(indices_of(kmask), k):
-            umask = mask_of(u)
-            if umask not in d:
-                d[umask] = interior_terms({umask: 1}, P.terms)
+    d = {u: interior_terms({u: 1}, P.terms) for u in term_subsets(P.terms, k)}
 
     pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
     denom = 3 * (1 << k)

@@ -222,6 +222,23 @@ def test_dims_invalid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--dim", "65", "--grade", "3"),
+        ("count", "--dim", "8000", "--grade", "4000"),
+        ("dims", "--dim", "3000", "--grade", "1500"),
+    ],
+)
+def test_count_and_dims_refuse_dim_past_64(argv):
+    # in a child with a timeout, so a count that runs for long fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "plk", *argv], capture_output=True, text=True, timeout=30,
+    )
+    message = f"error: dim must be an integer in [1, 64], got {argv[2]}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 # -- random ------------------------------------------------------------------------
 
 

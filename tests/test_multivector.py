@@ -24,6 +24,8 @@ from plk.multivector import (
     mask_of,
     shuffle_sign,
     sorted_mask,
+    subset_rank,
+    term_subsets,
     wedge_terms,
 )
 from plk.randgen import random_vector
@@ -123,6 +125,42 @@ def test_term_errors_name_the_term(build, message):
     with pytest.raises(InputError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ((2, 1), "indices [2, 1]: indices must be strictly increasing"),
+        ((1, 9), "indices [1, 9]: indices must lie in [1, 4]"),
+        ((1,), "indices [1]: expected 2 indices"),
+    ],
+)
+def test_coeff_checks_indices_as_from_terms_does(indices, message):
+    # e_2 ^ e_1 = -e_{1,2}: reading (2, 1) as the set {1, 2} gets the sign wrong
+    p = Multivector.basis(4, (1, 2))
+    assert p.coeff((1, 2)) == 1 and p.coeff((3, 4)) == 0
+    with pytest.raises(InputError) as exc:
+        p.coeff(indices)
+    assert str(exc.value) == message
+
+
+def test_subset_rank_is_the_position_in_basis_subsets():
+    for n in range(1, 9):
+        for r in range(n + 1):
+            ranks = [subset_rank(S, n) for S in basis_subsets(n, r)]
+            assert ranks == list(range(1, len(ranks) + 1)), (n, r)
+
+
+def test_term_subsets_are_the_subsets_inside_some_term():
+    rng = seeded(3)
+    for n, s in ((5, 2), (6, 3), (7, 4)):
+        terms = rand_mv(rng, n, s, max_terms=4).terms
+        for r in range(s + 1):
+            inside = {
+                mask_of(T) for T in basis_subsets(n, r)
+                if any(mask_of(T) & m == mask_of(T) for m in terms)
+            }
+            assert term_subsets(terms, r) == inside, (n, s, r)
 
 
 def test_grade_above_dim_only_zero():
