@@ -32,8 +32,8 @@ from plk import (
 )
 from plk.criteria import CRITERIA
 from plk.multivector import basis_subsets
-from plk.young import TwoColumnShape, isotypic_probe, iter_projection_blocks
 from plk.randgen import random_nonsimple, random_simple
+from plk.young import TwoColumnShape, isotypic_probe, iter_projection_blocks
 
 from util import rand_mv, seeded
 

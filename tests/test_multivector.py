@@ -156,10 +156,7 @@ def test_term_subsets_are_the_subsets_inside_some_term():
     for n, s in ((5, 2), (6, 3), (7, 4)):
         terms = rand_mv(rng, n, s, max_terms=4).terms
         for r in range(s + 1):
-            inside = {
-                mask_of(T) for T in basis_subsets(n, r)
-                if any(mask_of(T) & m == mask_of(T) for m in terms)
-            }
+            inside = {t for t in map(mask_of, basis_subsets(n, r)) if any(t & m == t for m in terms)}
             assert term_subsets(terms, r) == inside, (n, s, r)
 
 
