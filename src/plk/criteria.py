@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from . import linalg, young
@@ -39,7 +39,7 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
-    basis_subsets,
+    check_dim,
     contract_into,
     contract_terms,
     indices_of,
@@ -50,6 +50,7 @@ from .multivector import (
     require_vector,
     subset_rank,
     support_space,
+    touched_indices,
     wedge,
     wedge_terms,
 )
@@ -130,7 +131,11 @@ _LINEAR = {
 
 
 def _pluecker(P: Multivector, name: str) -> CriterionReport:
-    """Shared sweep: quantify over basis covectors of one grade, lex order."""
+    """Shared sweep: quantify over basis covectors of one grade, lex order.
+
+    Covectors outside the indices P touches give zero equations (i(e^S)P needs
+    S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
+    """
     require_vector(P, "P")
     shift, dual = _LINEAR[name]
     n, s = P.dim, P.grade
@@ -140,8 +145,7 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
     quant_grade, out_grade = (s + shift, s - shift) if dual else (s - shift, s + shift)
     per_equation = comb0(n, out_grade)
     symbol = "Phi" if name == "classical" else "Psi"
-    checked = 0
-    for S in basis_subsets(n, quant_grade):
+    for S in combinations(touched_indices(terms), quant_grade):
         q = {mask_of(S): 1}
         if dual:
             out = interior_terms(contract_terms(terms, q), terms)
@@ -149,7 +153,7 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
             out = wedge_terms(interior_terms(q, terms), terms)
         if out:
             comp, val = _first_component(out)
-            checked += subset_rank(comp, n)
+            checked = (subset_rank(S, n) - 1) * per_equation + subset_rank(comp, n)
             witness = Witness(
                 equation=(S,),
                 component=comp,
@@ -157,8 +161,7 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
                 text=f"{symbol}=e^{{{_fmt(S)}}} -> component e_{{{_fmt(comp)}}} = {val}",
             )
             return CriterionReport(name, False, checked, witness)
-        checked += per_equation
-    return CriterionReport(name, True, checked)
+    return CriterionReport(name, True, comb0(n, quant_grade) * per_equation)
 
 
 def classical_pluecker(P: Multivector) -> CriterionReport:
@@ -310,22 +313,25 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
 
     Enumerates the projected coefficient family (symmetrized index pairs plus
     a skewed 4-subset) in lexicographic order and reports the first nonzero
-    coefficient.  ``equations_checked`` counts the distinct coefficients
-    enumerated; for a pass this is the full family,
-    multichoose(pairs, s-2) * C(n,4).
+    coefficient; pair tuples outside the indices P touches are zero, counted by
+    rank, not visited.  ``equations_checked`` counts the coefficients up to and
+    including the witness, or the family, multichoose(pairs, s-2) * C(n,4).
     """
     require_vector(P, "P")
     s = P.grade
     if s < 2:
         raise InputError(f"optimal component test needs grade >= 2, got {s}")
-    n = P.dim
+    n, k = P.dim, s - 2
     per_block = comb0(n, 4)
-    checked = 0
+    # Pair (a <= b) has 0-based lex position p = (a-1)(2n+2-a)/2 + b-a; the
+    # t-th pair of a tuple at p + t + 1 makes it a k-subset of 1..slots.
+    slots = comb(n + 1, 2) + k - 1
     for pairs, block, denom in young.iter_projection_blocks(P):
         if block:
             comp, raw = _first_component(block)
             val = Fraction(raw, denom)
-            checked += subset_rank(comp, n)
+            q = [(a - 1) * (2 * n + 2 - a) // 2 + b - a + t + 1 for t, (a, b) in enumerate(pairs)]
+            checked = (subset_rank(q, slots) - 1) * per_block + subset_rank(comp, n)
             pair_txt = ",".join("{%d,%d}" % p for p in pairs) or "-"
             witness = Witness(
                 equation=(pairs, comp),
@@ -334,8 +340,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
                 text=f"pairs=({pair_txt}), skew over e_{{{_fmt(comp)}}}: coefficient = {val}",
             )
             return CriterionReport("optimal", False, checked, witness)
-        checked += per_block
-    return CriterionReport("optimal", True, checked)
+    return CriterionReport("optimal", True, comb(slots, k) * per_block)
 
 
 # -- rank oracle, factorization, families -----------------------------------------
@@ -411,10 +416,8 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     space = support_space(P)
     if space.rank != s:
         return None
-    blade = reduce(wedge, space.basis)
-    key = next(iter(blade.terms))
-    scale = Fraction(P.terms[key]) / Fraction(blade.terms[key])
-    factors = [scale * space.basis[0], *space.basis[1:]]
+    pivots = sum(min(v.terms) for v in space.basis)  # RREF: the basis wedge is 1 here
+    factors = [P.terms[pivots] * space.basis[0], *space.basis[1:]]
     if reduce(wedge, factors) != P:
         raise InvariantViolation("factor recovery produced a mismatched wedge")
     return factors
@@ -454,6 +457,7 @@ def equation_count(n: int, s: int, criterion: str) -> int:
     the improved count C(n,0)*C(n,4) = C(n,4); for 3 <= s <= n/2 it is
     strictly smaller.
     """
+    check_dim(n)
     if not (0 <= s <= n):
         raise InputError(f"need 0 <= s <= n, got s={s}, n={n}")
     if criterion in _LINEAR:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -470,6 +471,11 @@ def subset_rank(indices: Sequence[int], n: int) -> int:
     """
     r = len(indices)
     return comb(n, r) - sum(comb(n - v, r - i) for i, v in enumerate(indices))
+
+
+def touched_indices(terms: Iterable[int]) -> tuple[int, ...]:
+    """Increasing indices that lie in at least one of the terms' index sets."""
+    return indices_of(reduce(int.__or__, terms, 0))
 
 
 def term_subsets(terms: Iterable[int], r: int) -> set[int]:

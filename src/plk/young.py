@@ -25,11 +25,13 @@ from .multivector import (
     InputError,
     Multivector,
     _nonzero,
+    check_dim,
     indices_of,
     interior_terms,
     require_vector,
     sorted_mask,
     term_subsets,
+    touched_indices,
     wedge_terms,
 )
 
@@ -154,6 +156,7 @@ def verify_square_decomposition(n: int, s: int) -> SquareDecompositionReport:
     one, and dropping the leading terms matches Lambda^(s+1) (x) Lambda^(s-1)
     and Lambda^(s+2) (x) Lambda^(s-2).
     """
+    check_dim(n)
     if not (1 <= s <= n):
         raise InputError(f"need 1 <= s <= n, got s={s}, n={n}")
     shapes = [TwoColumnShape(s + j, s - j) for j in range(s + 1)]
@@ -372,14 +375,13 @@ def iter_projection_blocks(
     2-forms is exactly their wedge, so each block is a signed sum of wedges
     D[u] ^ D[v] of the contractions D[u] = i(e^u)P, which are kept once per
     sorted u, keyed by its mask; an unsorted u contributes the sign of
-    sorting it.  Pair tuples are emitted in lexicographic order, which fixes
-    the "first witness" reported upstream.
+    sorting it.  Pair tuples come in lex order, which fixes the first witness,
+    and only inside the indices P touches: the other blocks are zero.
     """
     require_vector(P, "projection target")
     s = P.grade
     if s < 2:
         raise InputError(f"projection needs grade >= 2, got {s}")
-    n = P.dim
     k = s - 2
     if k == 0:
         yield (), wedge_terms(P.terms, P.terms), 6
@@ -388,7 +390,7 @@ def iter_projection_blocks(
     # D[u] = i(e^u)P, the 2-form P(u, x, y), for every sorted u inside a term.
     d = {u: interior_terms({u: 1}, P.terms) for u in term_subsets(P.terms, k)}
 
-    pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    pair_list = list(combinations_with_replacement(touched_indices(P.terms), 2))
     denom = 3 * (1 << k)
     for pairs in combinations_with_replacement(pair_list, k):
         block: dict[int, Coeff] = {}

@@ -33,7 +33,12 @@ from plk import (
 from plk.criteria import CRITERIA
 from plk.multivector import basis_subsets
 from plk.randgen import random_nonsimple, random_simple
-from plk.young import TwoColumnShape, isotypic_probe, iter_projection_blocks
+from plk.young import (
+    TwoColumnShape,
+    isotypic_probe,
+    iter_projection_blocks,
+    verify_square_decomposition,
+)
 
 from util import rand_mv, seeded
 
@@ -450,6 +455,17 @@ def test_equation_count_validates():
         equation_count(4, 5, "classical")
     with pytest.raises(InputError):
         equation_count(4, 2, "quantum")
+
+
+@pytest.mark.parametrize("n", (0, 65))
+@pytest.mark.parametrize(
+    "count",
+    (lambda n: equation_count(n, 0, "optimal"), lambda n: verify_square_decomposition(n, 1)),
+    ids=("equation_count", "verify_square_decomposition"),
+)
+def test_library_counts_refuse_a_dim_outside_1_to_64(count, n):
+    with pytest.raises(InputError, match=r"dim must be an integer in \[1, 64\]"):
+        count(n)
 
 
 # -- three-plane dichotomy ------------------------------------------------------------

@@ -7,11 +7,14 @@ sweep that visits every basis covector and every pair tuple and counts
 ``equations_checked`` one quantifier at a time.
 """
 
+import subprocess
+import sys
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
-from plk import Multivector, contract_into, interior, run_all_criteria, wedge
+from plk import Multivector, contract_into, equation_count, interior, run_all_criteria, wedge
 from plk.cli import main
 from plk.criteria import CRITERIA
 from plk.serialize import dump
@@ -41,6 +44,31 @@ def test_sparse_stdout_is_golden(name, criterion, tmp_path, capsys):
     dump(SPARSE_INPUTS[name](), path)
     code = main(["check", "--criterion", criterion, path])
     assert (code, capsys.readouterr().out) == SPARSE_STDOUT[(name, criterion)]
+
+
+BLADES = (
+    *((criterion, n, s) for n, s in ((16, 6), (32, 8), (64, 32)) for criterion in SWEPT[:4]),
+    ("optimal", 16, 6),
+    ("optimal", 24, 6),
+)
+
+
+@pytest.mark.parametrize("criterion,n,s", BLADES)
+def test_blade_sweeps_finish_within_a_timeout(criterion, n, s, tmp_path):
+    # in a child with a timeout, so a sweep that visits every quantifier of
+    # the ambient dimension, not just those inside the blade, fails the test
+    path = str(tmp_path / "blade.json")
+    dump(e(n, *range(1, s + 1)), path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "plk", "check", "--criterion", criterion, path],
+        capture_output=True, text=True, timeout=60,
+    )
+    if criterion == "optimal":  # the whole family: multichoose(C(n+1,2), s-2) * C(n,4)
+        count = comb(comb(n + 1, 2) + s - 3, s - 2) * comb(n, 4)
+    else:
+        count = equation_count(n, s, criterion)
+    line = f"{criterion:<18} true   equations={count}\n"
+    assert (proc.returncode, proc.stdout) == (0, line + "result: simple\n")
 
 
 # -- relabeling ------------------------------------------------------------------
