@@ -217,6 +217,29 @@ def test_dims_pass(capsys):
     assert out.count("PASS") == 5 and "FAIL" not in out
 
 
+def test_dims_json_golden(capsys):
+    code, out, _ = run_cli(capsys, "dims", "--dim", "6", "--grade", "3", "--json")
+    assert code == 0
+    shapes = [([3, 3], 175), ([4, 2], 189), ([5, 1], 35), ([6, 0], 1)]
+    identities = [
+        ("total = C(n,s)^2", 400),
+        ("even tail = C(n,s)(C(n,s)+1)/2", 210),
+        ("odd tail = C(n,s)(C(n,s)-1)/2", 190),
+        ("tail j>=1 = C(n,s+1)C(n,s-1)", 225),
+        ("tail j>=2 = C(n,s+2)C(n,s-2)", 36),
+    ]
+    golden = {
+        "dim": 6,
+        "grade": 3,
+        "components": [{"shape": sh, "dim": d} for sh, d in shapes],
+        "identities": [
+            {"name": name, "lhs": v, "rhs": v, "ok": True} for name, v in identities
+        ],
+        "passed": True,
+    }
+    assert out == json.dumps(golden, indent=2) + "\n"
+
+
 def test_dims_invalid(capsys):
     code, _, err = run_cli(capsys, "dims", "--dim", "4", "--grade", "0")
     assert code == 2

@@ -115,10 +115,15 @@ def test_constructor_validates():
          "dim must be an integer in [1, 64], got 4"),
         (lambda: Multivector.from_terms(4, None, [((1,), 1)]),
          "grade must be a nonnegative integer, got None"),
+        # a mask below 1 << dim has at most dim bits, so a grade past dim
+        # is refused by the size check
+        (lambda: Multivector(3, 5, {0b111: 1}),
+         "index set (1, 2, 3) has size 3, expected grade 5"),
     ],
     ids=[
         "range-high", "range-low", "length", "order", "duplicate", "coeff",
         "basis-range", "basis-order", "basis-repeat", "bad-dim", "bad-grade",
+        "grade-past-dim",
     ],
 )
 def test_term_errors_name_the_term(build, message):
@@ -395,6 +400,18 @@ def test_support_rank_at_least_grade():
         s = rng.randint(1, n)
         p = rand_mv(rng, n, s)
         assert support_space(p).rank >= s
+
+
+def test_support_generators_are_nonzero():
+    # i(e^S)P for S inside a term T is nonzero: only T reaches e_{T - S}
+    rng = seeded(110)
+    for i in range(200):
+        n = rng.randint(2, 7)
+        s = rng.randint(1, n)
+        p = rand_mv(rng, n, s, max_terms=6, rational=i % 2 == 1)
+        for smask in term_subsets(p.terms, s - 1):
+            phi = Multivector(n, s - 1, {smask: 1}, dual=True)
+            assert not interior(phi, p).is_zero(), (str(p), smask)
 
 
 def test_support_pivots_strictly_increase():

@@ -15,11 +15,14 @@ from plk import (
     project_tensor_square,
     sn_character,
     standard_tableaux_count,
+    equation_count,
     verify_square_decomposition,
     wedge,
     young_dim,
 )
+from plk.multivector import mask_of
 from plk.young import (
+    _signed_perms,
     conjugacy_class_size,
     conjugate,
     hook_lengths,
@@ -27,7 +30,7 @@ from plk.young import (
 )
 from plk.randgen import random_simple, random_vector
 
-from util import rand_mv, seeded
+from util import rand_mv, seeded, sparse_rank
 
 
 def probes(rng, dim, count, bound=10):
@@ -171,6 +174,19 @@ def test_character_orthogonality():
 def test_character_validates_sizes():
     with pytest.raises(InputError):
         sn_character((2, 1), (2, 2))
+    # a class is refused unless weakly decreasing, so it needs no sorting
+    with pytest.raises(InputError, match="weakly decreasing"):
+        sn_character((2, 1), (1, 2))
+
+
+def test_partitions_of_zero_is_the_empty_partition():
+    assert list(partitions(0)) == [()]
+
+
+def test_signed_perms_carry_the_inversion_parity():
+    for s in range(7):
+        expected = tuple((perm, _parity(perm)) for perm in permutations(range(s)))
+        assert _signed_perms(s) == expected, s
 
 
 # -- isotypic probes ---------------------------------------------------------------
@@ -317,6 +333,20 @@ def test_projection_matches_reference():
             cases.append(random_simple(rng, n, s, 3))
         for P in cases:
             assert project_tensor_square(P) == _projection_reference(P), (n, s, str(P))
+
+
+@pytest.mark.parametrize("n, s", [(5, 3), (6, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
+def test_projection_family_spans_dim_of_its_component(n, s):
+    # The paper's optimality: the coefficients of the projection, as quadratic
+    # forms in P, span exactly dim Y[s+2, s-2] of them.  The grid
+    # {e_I} + {e_I + e_J} is unisolvent for quadratic forms, so the rank of
+    # the family evaluated there is the dimension of that span.
+    blades = [mask_of(I) for I in combinations(range(1, n + 1), s)]
+    grid = [{m: 1} for m in blades] + [{a: 1, b: 1} for a, b in combinations(blades, 2)]
+    rows = [project_tensor_square(Multivector(n, s, terms)) for terms in grid]
+    dim = young_dim(n, TwoColumnShape(s + 2, s - 2))
+    assert dim == equation_count(n, s, "optimal")
+    assert sparse_rank(rows) == dim
 
 
 def test_projection_rejects_low_grade():

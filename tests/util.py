@@ -38,6 +38,28 @@ def rand_mv(rng, dim, grade, bound=9, max_terms=None, dual=False, rational=False
     )
 
 
+def sparse_rank(rows) -> int:
+    """Rank over Q of rows given as {column: coeff} maps (columns sortable),
+    by a plain Fraction elimination independent of plk.linalg."""
+    pivots = {}  # leading column -> a row that leads there with coeff 1
+    for row in rows:
+        row = {col: Fraction(c) for col, c in row.items() if c}
+        while row:
+            lead = min(row)
+            basis = pivots.get(lead)
+            if basis is None:
+                pivots[lead] = {col: c / row[lead] for col, c in row.items()}
+                break
+            f = row[lead]
+            for col, c in basis.items():
+                left = row.get(col, 0) - f * c
+                if left:
+                    row[col] = left
+                else:
+                    del row[col]
+    return len(pivots)
+
+
 def interior_by_adjunction(phi: Multivector, p: Multivector) -> Multivector:
     """Independent construction of the interior product from its defining
     adjunction: the e_T coefficient of i(phi)p is <p, phi ^ e^T>."""
