@@ -27,7 +27,7 @@ from .criteria import (
     InvariantViolation,
     run_all_criteria,
 )
-from .multivector import InputError, check_dim
+from .multivector import InputError
 
 # Each subcommand declares only the options its cmd_* function reads.
 _OPTIONS = {
@@ -147,7 +147,6 @@ def cmd_factor(args) -> int:
 
 def cmd_count(args) -> int:
     n, s = args.dim, args.grade
-    check_dim(n)
     counts = {name: criteria.equation_count(n, s, name) for name in criteria.COUNTED}
     if args.json:
         print(json.dumps({"dim": n, "grade": s, "counts": counts}, indent=2))
@@ -158,7 +157,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    check_dim(args.dim)
     rep = young.verify_square_decomposition(args.dim, args.grade)
     if args.json:
         payload = {

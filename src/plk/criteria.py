@@ -288,10 +288,14 @@ def contraction_criterion(
         raise InputError(f"contraction order k must be an integer >= 2, got {k}")
     if mode not in ("symbolic", "randomized"):
         raise InputError(f"mode must be 'symbolic' or 'randomized', got {mode!r}")
-    if mode == "randomized" and trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    if mode == "randomized" and bound < 1:
-        raise InputError(f"bound must be >= 1, got {bound}")
+    if mode == "randomized":
+        for what, value in (("trials", trials), ("seed", seed), ("bound", bound)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{what} must be an integer, got {value!r}")
+        if trials < 1:
+            raise InputError(f"trials must be >= 1, got {trials}")
+        if bound < 1:
+            raise InputError(f"bound must be >= 1, got {bound}")
     n, s = P.dim, P.grade
     name = f"contraction(k={k})"
     if s < 2:

@@ -162,8 +162,6 @@ class Multivector:
             _check_coeff(c)
             if c:
                 clean[mask] = c
-        if grade > dim and clean:
-            raise InputError(f"grade {grade} exceeds dim {dim}")
         self.dim = dim
         self.grade = grade
         self.dual = bool(dual)
@@ -445,8 +443,7 @@ def support_space(p: Multivector) -> SupportSpace:
     rows = []
     for smask in term_subsets(p.terms, s - 1):
         img = interior_terms({smask: 1}, p.terms)
-        if img:
-            rows.append([img.get(1 << i, 0) for i in range(p.dim)])
+        rows.append([img.get(1 << i, 0) for i in range(p.dim)])
     reduced, _ = linalg.rref(rows)
     basis = tuple(
         Multivector(p.dim, 1, {1 << i: c for i, c in enumerate(row) if c})

@@ -7,7 +7,6 @@ reproducibility; coefficients are integers drawn from [-bound, bound].
 from __future__ import annotations
 
 import random
-from math import comb
 
 from .criteria import InvariantViolation, from_factors, is_simple_oracle
 from .multivector import Coeff, InputError, Multivector, basis_subsets, check_dim, mask_of
@@ -35,18 +34,12 @@ def random_vector(
 
 
 def random_multivector(
-    rng: random.Random,
-    dim: int,
-    grade: int,
-    bound: int = 10,
-    max_terms: int | None = None,
+    rng: random.Random, dim: int, grade: int, bound: int = 10
 ) -> Multivector:
     """Random nonzero multivector with a random sparse support."""
     _check_args(dim, bound, grade)
-    total = comb(dim, grade)
-    cap = min(max_terms or total, total)
     masks = [mask_of(c) for c in basis_subsets(dim, grade)]
-    nterms = rng.randint(1, cap)
+    nterms = rng.randint(1, len(masks))
     chosen = rng.sample(masks, nterms)
     terms: dict[int, Coeff] = {}
     for m in chosen:

@@ -182,9 +182,6 @@ def verify_square_decomposition(n: int, s: int) -> SquareDecompositionReport:
 
 def partitions(m: int) -> Iterator[tuple[int, ...]]:
     """All partitions of m, in decreasing lexicographic order."""
-    if m == 0:
-        yield ()
-        return
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -223,9 +220,7 @@ def _mn(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
             continue
         # strip height parity = rows crossed between removal and landing spot
         crossed = sum(1 for j, x in enumerate(betas) if j != i and nb < x < b)
-        new_betas = sorted((x for j, x in enumerate(betas) if j != i), reverse=True)
-        new_betas.append(nb)
-        new_betas.sort(reverse=True)
+        new_betas = sorted(betas[:i] + [nb] + betas[i + 1:], reverse=True)
         new_shape = tuple(
             nbv - (r - 1 - idx) for idx, nbv in enumerate(new_betas)
         )
@@ -243,7 +238,7 @@ def sn_character(shape, cls) -> int:
         raise InputError(
             f"partitions must have equal size, got {sum(shape)} and {sum(cls)}"
         )
-    return _mn(shape, tuple(sorted(cls, reverse=True)))
+    return _mn(shape, cls)
 
 
 # -- isotypic probes of P (x) P --------------------------------------------------
@@ -268,13 +263,9 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _signed_perms(s: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in permutations(range(s)):
-        inv = sum(
-            1 for a in range(s) for b in range(a + 1, s) if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inv & 1 else 1))
-    return tuple(out)
+    return tuple(
+        (perm, sorted_mask([i + 1 for i in perm])[1]) for perm in permutations(range(s))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ def corpus():
     for n, s in MAIN_PAIRS:
         rng = seeded(1, n, s)
         for _ in range(RANDOM_PER_PAIR):
-            out.append(random_multivector(rng, n, s, bound=9, max_terms=10))
+            out.append(rand_mv(rng, n, s, bound=9, max_terms=10))
         for _ in range(SIMPLE_PER_PAIR):
             out.append(random_simple(rng, n, s, bound=5))
         for _ in range(NONSIMPLE_PER_PAIR):
@@ -127,7 +127,7 @@ def test_criterion_3_top_shape_never_vanishes():
     for n in (5, 6, 7, 8):
         rng = seeded(3, n)
         for i in range(200):
-            P = random_multivector(rng, n, 4, bound=9, max_terms=10)
+            P = rand_mv(rng, n, 4, bound=9, max_terms=10)
             for attempt in range(1, 51):
                 probes = [random_vector(rng, n, 10, dual=True) for _ in range(8)]
                 if isotypic_probe(P, shape, probes) != 0:

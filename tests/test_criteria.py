@@ -238,6 +238,20 @@ def test_contraction_validates_k():
         assert contraction_criterion(low, 2, trials=0, bound=0).verdict
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("trials", 2.5), ("trials", True), ("bound", 2.5), ("bound", True),
+     ("seed", "x"), ("seed", 1.5), ("seed", False)],
+)
+def test_randomized_contraction_refuses_non_int_options(option, value):
+    for p in (e(6, 1, 2, 3) + e(6, 4, 5, 6), e(4, 1)):
+        with pytest.raises(InputError) as exc:
+            contraction_criterion(p, 2, mode="randomized", **{option: value})
+        assert str(exc.value) == f"{option} must be an integer, got {value!r}"
+    # the exact mode does not read them
+    assert not contraction_criterion(e(6, 1, 2, 3) + e(6, 4, 5, 6), 2, **{option: value}).verdict
+
+
 def test_contraction_low_grade_vacuous():
     assert contraction_criterion(e(4, 1), 2).verdict
     assert contraction_criterion(Multivector.scalar(4, 3), 5).verdict
