@@ -244,12 +244,13 @@ def test_contraction_validates_k():
      ("seed", "x"), ("seed", 1.5), ("seed", False)],
 )
 def test_randomized_contraction_refuses_non_int_options(option, value):
-    for p in (e(6, 1, 2, 3) + e(6, 4, 5, 6), e(4, 1)):
+    nonsimple = e(6, 1, 2, 3) + e(6, 4, 5, 6)
+    for p in (nonsimple, e(4, 1)):
         with pytest.raises(InputError) as exc:
             contraction_criterion(p, 2, mode="randomized", **{option: value})
         assert str(exc.value) == f"{option} must be an integer, got {value!r}"
     # the exact mode does not read them
-    assert not contraction_criterion(e(6, 1, 2, 3) + e(6, 4, 5, 6), 2, **{option: value}).verdict
+    assert not contraction_criterion(nonsimple, 2, **{option: value}).verdict
 
 
 def test_contraction_low_grade_vacuous():

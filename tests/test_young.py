@@ -10,12 +10,12 @@ from plk import (
     InputError,
     Multivector,
     TwoColumnShape,
+    equation_count,
     isotypic_probe,
     pairing,
     project_tensor_square,
     sn_character,
     standard_tableaux_count,
-    equation_count,
     verify_square_decomposition,
     wedge,
     young_dim,
