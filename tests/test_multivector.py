@@ -63,6 +63,33 @@ def test_shuffle_sign_counts_inversions():
     assert shuffle_sign(mask_of((3,)), mask_of((2,))) == -1
 
 
+def _inversion_sign(a_indices, b_indices):
+    """(-1)**inv, inv counting the pairs (x in a, y in b) with x > y: the sign
+    of sorting a followed by b, straight from the definition."""
+    inversions = sum(1 for x in a_indices for y in b_indices if x > y)
+    return -1 if inversions % 2 else 1
+
+
+def test_shuffle_sign_matches_inversion_count_exhaustively():
+    # every disjoint pair at n <= 8: each index goes to a, to b or to neither
+    for n in range(1, 9):
+        for side in product((0, 1, 2), repeat=n):
+            a = [i + 1 for i in range(n) if side[i] == 1]
+            b = [i + 1 for i in range(n) if side[i] == 2]
+            assert shuffle_sign(mask_of(a), mask_of(b)) == _inversion_sign(a, b), (a, b)
+
+
+def test_shuffle_sign_matches_inversion_count_at_n64():
+    rng = seeded(130)
+    for trial in range(2000):
+        chosen = rng.sample(range(1, 64), rng.randint(0, 40)) + [64]
+        cut = rng.randint(0, len(chosen))
+        a, b = chosen[:cut], chosen[cut:]
+        if trial % 2:
+            a, b = b, a  # index 64 on either side
+        assert shuffle_sign(mask_of(a), mask_of(b)) == _inversion_sign(a, b), (a, b)
+
+
 def test_sorted_mask_sign_and_repeats():
     assert sorted_mask((1, 2, 3)) == (mask_of((1, 2, 3)), 1)
     assert sorted_mask((2, 1, 3)) == (mask_of((1, 2, 3)), -1)
@@ -340,6 +367,49 @@ def test_contract_matches_adjunction_random():
         m = rng.randint(s, n)
         p = rand_mv(rng, n, s)
         psi = rand_mv(rng, n, m, dual=True)
+        assert contract_into(p, psi) == contract_by_adjunction(p, psi)
+
+
+_HIGH_POOL = [1, 9, 33] + list(range(57, 65))
+
+
+def _high_mv(rng, grade, dual=False):
+    """Random dim-64 multivector on index sets drawn mostly from 57..64,
+    with int and Fraction coefficients."""
+    subsets = list(combinations(_HIGH_POOL, grade))
+    chosen = rng.sample(subsets, rng.randint(1, min(len(subsets), 12)))
+    return Multivector.from_terms(
+        64, grade,
+        [(idx, Fraction(rng.choice((-5, -2, 1, 3, 7)), rng.randint(1, 3))) for idx in chosen],
+        dual,
+    )
+
+
+def _wedge_by_definition(a, b):
+    """a ^ b term by term: e_S ^ e_T is the sorted e_{S+T} times the sign of
+    sorting S followed by T."""
+    terms = {}
+    for S, ca in a.items():
+        for T, cb in b.items():
+            if set(S) & set(T):
+                continue
+            key = mask_of(sorted(S + T))
+            terms[key] = terms.get(key, 0) + _inversion_sign(S, T) * ca * cb
+    return {m: c for m, c in terms.items() if c}
+
+
+def test_term_kernels_at_high_indices():
+    # indices 57..64 are bits 56..63, the top byte of a 64-bit mask
+    rng = seeded(131)
+    for _ in range(20):
+        a = _high_mv(rng, rng.randint(1, 3))
+        b = _high_mv(rng, rng.randint(1, 3))
+        assert wedge_terms(a.terms, b.terms) == _wedge_by_definition(a, b), (str(a), str(b))
+        s = rng.randint(2, 4)
+        p = _high_mv(rng, s)
+        phi = _high_mv(rng, rng.randint(s - 2, s), dual=True)
+        assert interior_terms(phi.terms, p.terms) == interior_by_adjunction(phi, p).terms
+        psi = _high_mv(rng, s + rng.randint(0, 2), dual=True)
         assert contract_into(p, psi) == contract_by_adjunction(p, psi)
 
 
