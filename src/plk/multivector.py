@@ -68,18 +68,29 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _suffix_parity(a: int) -> int:
+    """Mask with bit y set exactly when an odd number of a's bits lie above y.
+
+    A prefix xor from the top, in six shift-xors: masks stay below 2**64
+    (``check_dim``), so the folds by 1, 2, ..., 32 reach every bit.
+    """
+    x = a >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    x ^= x >> 16
+    x ^= x >> 32
+    return x
+
+
 def shuffle_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two disjoint index masks.
 
-    Equals (-1)**inv where inv counts pairs (x in a, y in b) with x > y.
+    Equals (-1)**inv where inv counts pairs (x in a, y in b) with x > y,
+    that is the parity of the bits of b at which a's suffix parity is odd.
     """
-    sign = 1
-    while b:
-        low = b & -b
-        if (a >> low.bit_length()).bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
+    return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1
 
 
 def sorted_mask(indices: Sequence[int]) -> tuple[int, int]:
@@ -107,7 +118,7 @@ def _check_coeff(c: Coeff, what: str = "coefficients") -> None:
 
 def check_dim(dim: int) -> None:
     """Refuse a dimension the bitmasks do not cover."""
-    if not isinstance(dim, int) or not (1 <= dim <= 64):
+    if isinstance(dim, bool) or not isinstance(dim, int) or not (1 <= dim <= 64):
         raise InputError(f"dim must be an integer in [1, 64], got {dim}")
 
 
@@ -147,7 +158,7 @@ class Multivector:
         dual: bool = False,
     ):
         check_dim(dim)
-        if not isinstance(grade, int) or grade < 0:
+        if isinstance(grade, bool) or not isinstance(grade, int) or grade < 0:
             raise InputError(f"grade must be a nonnegative integer, got {grade}")
         clean: dict[int, Coeff] = {}
         top = 1 << dim
@@ -306,6 +317,13 @@ class Multivector:
 #
 # Each kernel accumulates its sparse sum, then returns a dict with no zero
 # coefficient: ``_nonzero`` drops the cancelled keys once, at the end.
+#
+# The sign of a product of disjoint index sets S (outer) and T (inner) is
+# the shuffle sign of S followed by T, read inline as the parity of the bits
+# of T at which ``_suffix_parity(S)`` is odd.  That mask depends on the outer
+# term only, so each kernel computes it once per outer term and the inner
+# loop makes no call.  This holds because S and T are disjoint and every
+# mask is below 2**64.
 
 
 def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
@@ -316,11 +334,12 @@ def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
 def wedge_terms(a: Mapping[int, Coeff], b: Mapping[int, Coeff]) -> dict[int, Coeff]:
     out: dict[int, Coeff] = {}
     for ma, ca in a.items():
+        par = _suffix_parity(ma)
         for mb, cb in b.items():
             if ma & mb:
                 continue
             m = ma | mb
-            out[m] = out.get(m, 0) + (ca * cb if shuffle_sign(ma, mb) > 0 else -ca * cb)
+            out[m] = out.get(m, 0) + (-ca * cb if (par & mb).bit_count() & 1 else ca * cb)
     return _nonzero(out)
 
 
@@ -328,12 +347,13 @@ def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int
     """Terms of interior(phi, p): contract each subset of phi out of p."""
     out: dict[int, Coeff] = {}
     for mph, cph in phi.items():
+        par = _suffix_parity(mph)
         for mp, cp in p.items():
             if mph & mp != mph:
                 continue
             rest = mp ^ mph
             out[rest] = out.get(rest, 0) + (
-                cph * cp if shuffle_sign(mph, rest) > 0 else -cph * cp
+                -cph * cp if (par & rest).bit_count() & 1 else cph * cp
             )
     return _nonzero(out)
 

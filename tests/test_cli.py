@@ -352,6 +352,23 @@ def test_generators_reject_unsatisfiable_arguments(call):
         call(seeded(1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: random_multivector(rng, 4, True, bound=3),
+         "grade must be an integer in [0, 4], got True"),
+        (lambda rng: random_multivector(rng, 4, 2, bound=True),
+         "bound must be an integer >= 1, got True"),
+        (lambda rng: random_vector(rng, True), "dim must be an integer in [1, 64], got True"),
+    ],
+    ids=["grade", "bound", "dim"],
+)
+def test_generators_refuse_bool(call, message):
+    with pytest.raises(InputError) as exc:
+        call(seeded(1))
+    assert str(exc.value) == message
+
+
 # -- family ------------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from plk.criteria import from_factors
 from plk.linalg import nullspace
 from plk.multivector import (
     basis_subsets,
+    check_dim,
     indices_of,
     interior_terms,
     mask_of,
@@ -154,6 +155,21 @@ def test_constructor_validates():
     ],
 )
 def test_term_errors_name_the_term(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Multivector(4, True, {1: 1}), "grade must be a nonnegative integer, got True"),
+        (lambda: Multivector(True, 1, {1: 1}), "dim must be an integer in [1, 64], got True"),
+        (lambda: check_dim(True), "dim must be an integer in [1, 64], got True"),
+    ],
+    ids=["grade", "dim", "check_dim"],
+)
+def test_bool_is_not_an_integer(build, message):
     with pytest.raises(InputError) as exc:
         build()
     assert str(exc.value) == message
