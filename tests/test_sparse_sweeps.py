@@ -4,19 +4,31 @@ Golden ``plk check --criterion X`` lines for sparse inputs at n = 12; a
 relabeling test (a monotone index map into a larger space keeps every
 verdict and moves each witness index by index); and a test-local reference
 sweep that visits every basis covector and every pair tuple and counts
-``equations_checked`` one quantifier at a time.
+``equations_checked`` one quantifier at a time, and one that scans every
+covector point set of the contraction criterion's full grid.
 """
 
+import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 
-from plk import Multivector, contract_into, equation_count, interior, run_all_criteria, wedge
+from plk import (
+    Multivector,
+    contract_into,
+    contraction_criterion,
+    equation_count,
+    interior,
+    run_all_criteria,
+    wedge,
+)
 from plk.cli import main
 from plk.criteria import CRITERIA
+from plk.randgen import random_simple
 from plk.serialize import dump
 from plk.young import project_tensor_square
 
@@ -37,7 +49,7 @@ SPARSE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("criterion", SWEPT)
+@pytest.mark.parametrize("criterion", (*SWEPT, "contraction"))
 @pytest.mark.parametrize("name", SPARSE_INPUTS)
 def test_sparse_stdout_is_golden(name, criterion, tmp_path, capsys):
     path = str(tmp_path / f"{name}.json")
@@ -173,6 +185,89 @@ def test_equations_checked_matches_a_full_reference_sweep(trial):
         assert (rep.verdict, rep.equations_checked, equation) == ref, criterion
 
 
+def grid(n):
+    """The covectors e^i, then e^i + e^j (i < j) in lex order, as coordinates."""
+    units = [tuple(int(x == i) for x in range(n)) for i in range(n)]
+    return units + [tuple(a + b for a, b in zip(u, v)) for u, v in combinations(units, 2)]
+
+
+def draws(n, m, trials, seed, bound):
+    for t in range(trials):
+        rng = random.Random(seed * 1_000_003 + t)
+        yield [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+
+
+def reference_contraction(P, k, mode, trials, seed, bound):
+    """(verdict, equations_checked, witness equation) of the contraction
+    criterion from a scan over every m-set of the full grid (or every trial),
+    adding up the equations of each inner check."""
+    n, s = P.dim, P.grade
+    inner = CRITERIA["improved" if mode == "symbolic" else "classical"]
+    if s == k:
+        rep = inner(P)
+        return rep.verdict, rep.equations_checked, rep.witness and rep.witness.equation
+    if mode == "symbolic":
+        tuples = combinations(grid(n), s - k)
+    else:
+        tuples = draws(n, s - k, trials, seed, bound)
+    checked = 0
+    for t, coords in enumerate(tuples):
+        covectors = [
+            Multivector(n, 1, {1 << i: c for i, c in enumerate(v) if c}, dual=True)
+            for v in coords
+        ]
+        rep = inner(interior(reduce(wedge, covectors), P))
+        checked += rep.equations_checked
+        if not rep.verdict:
+            return False, checked, (t, tuple(coords)) + rep.witness.equation
+    return True, checked, None
+
+
+def contraction_inputs(rng, n, s):
+    """A seeded input of each kind: dense, sparse (few terms, so often fewer
+    than n indices touched), Fraction and decomposable."""
+    kind = rng.choice(("dense", "sparse", "fraction", "simple"))
+    if kind == "simple":
+        return random_simple(rng, n, s, bound=2)
+    terms = 2 if kind == "sparse" else 12
+    return rand_mv(rng, n, s, bound=3, max_terms=terms, rational=kind == "fraction")
+
+
+@pytest.mark.parametrize("trial", range(48))
+def test_contraction_matches_a_full_grid_reference(trial):
+    rng = seeded(12, trial)
+    n = rng.randint(2, 7)
+    s = rng.randint(2, n)
+    P = contraction_inputs(rng, n, s)
+    for k in range(2, s + 1):
+        for mode in ("symbolic", "randomized"):
+            if mode == "symbolic" and comb(n + comb(n, 2), s - k) > 1500:
+                continue  # a full-grid scan of that size is too slow here
+            rep = contraction_criterion(P, k, mode, trials=6, seed=trial, bound=2)
+            equation = rep.witness.equation if rep.witness else None
+            ref = reference_contraction(P, k, mode, trials=6, seed=trial, bound=2)
+            assert (rep.verdict, rep.equations_checked, equation) == ref, (k, mode, str(P))
+
+
+@pytest.mark.parametrize("P", [
+    e(7, 1, 2, 3) + e(7, 4, 5, 6),
+    e(7, 2, 3, 4) + e(7, 2, 5, 6),
+    e(7, 1, 2, 4) + e(7, 1, 3, 5),
+    e(6, 2, 3, 5, 6) + e(6, 1, 2, 3, 4),
+    e(6, 1, 2) + e(6, 3, 5),
+    e(5, 2, 4, 5),
+    wedge(e(6, 1) + e(6, 2), e(6, 3) + e(6, 4)),
+    reduce(wedge, [e(7, 1) + e(7, 2), e(7, 3) + e(7, 4), e(7, 5) + e(7, 6)]),
+], ids=str)
+def test_contraction_on_inputs_touching_fewer_indices_matches_the_reference(P):
+    for k in range(2, P.grade + 1):
+        for mode in ("symbolic", "randomized"):
+            rep = contraction_criterion(P, k, mode, trials=6, seed=k, bound=2)
+            equation = rep.witness.equation if rep.witness else None
+            ref = reference_contraction(P, k, mode, trials=6, seed=k, bound=2)
+            assert (rep.verdict, rep.equations_checked, equation) == ref, (k, mode)
+
+
 # -- expectations -----------------------------------------------------------------
 
 SPARSE_STDOUT = {
@@ -183,6 +278,9 @@ SPARSE_STDOUT = {
         0, "dual-improved      true   equations=60984\nresult: simple\n"
     ),
     ("blade-12-4", "optimal"): (0, "optimal            true   equations=1525095\nresult: simple\n"),
+    ("blade-12-4", "contraction"): (
+        0, "contraction(k=2)   true   equations=1486485\nresult: simple\n"
+    ),
     ("blade-12-5", "classical"): (0, "classical          true   equations=457380\nresult: simple\n"),
     ("blade-12-5", "dual"): (0, "dual               true   equations=457380\nresult: simple\n"),
     ("blade-12-5", "improved"): (0, "improved           true   equations=174240\nresult: simple\n"),
@@ -192,6 +290,9 @@ SPARSE_STDOUT = {
     ("blade-12-5", "optimal"): (
         0, "optimal            true   equations=40669200\nresult: simple\n"
     ),
+    ("blade-12-5", "contraction"): (
+        0, "contraction(k=2)   true   equations=37657620\nresult: simple\n"
+    ),
     ("face-12-3", "classical"): (0, "classical          true   equations=32670\nresult: simple\n"),
     ("face-12-3", "dual"): (0, "dual               true   equations=32670\nresult: simple\n"),
     ("face-12-3", "improved"): (0, "improved           true   equations=9504\nresult: simple\n"),
@@ -199,6 +300,9 @@ SPARSE_STDOUT = {
         0, "dual-improved      true   equations=9504\nresult: simple\n"
     ),
     ("face-12-3", "optimal"): (0, "optimal            true   equations=38610\nresult: simple\n"),
+    ("face-12-3", "contraction"): (
+        0, "contraction(k=2)   true   equations=38610\nresult: simple\n"
+    ),
     ("nonsimple-12-3", "classical"): (
         1,
         "classical          false  equations=6282  witness: Phi=e^{2,4} "
@@ -227,6 +331,13 @@ SPARSE_STDOUT = {
         1,
         "optimal            false  equations=6833  witness: pairs=({2,3}), "
         "skew over e_{4,6,8,11}: coefficient = 1/6\n"
+        "result: not-simple\n",
+    ),
+    ("nonsimple-12-3", "contraction"): (
+        1,
+        "contraction(k=2)   false  equations=11783  witness: point 23, "
+        "alphas=[(0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)]: Psi=e^{} "
+        "-> component e_{4,6,8,11} = 2\n"
         "result: not-simple\n",
     ),
 }
