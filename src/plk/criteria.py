@@ -87,10 +87,12 @@ class CriterionReport:
     * the four Pluecker-type criteria: scalar equations, one per quantified
       basis covector and output component; a pass counts all of them
       (``equation_count``), a failure those up to and including the witness;
-    * the contraction criterion: the equations of its inner checks summed
-      over the covector points visited - improved equations at grid points
-      in the exact mode, classical equations per trial in randomized mode,
-      and one inner check of P when k = s;
+    * the contraction criterion: the equations of its inner checks, each
+      passing point set (exact mode, improved equations) or trial
+      (randomized mode, classical equations) counting the inner criterion's
+      full count; a pass counts every set or trial, a failure those before
+      the witness plus the witness check's equations; one inner check of P
+      when k = s;
     * the optimal test: coefficients of the projected family enumerated,
       up to and including the witness;
     * the oracle: the C(n, s-1) generators of the support space.
@@ -205,52 +207,66 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
 # -- contraction criterion (evaluation at covector points) ------------------------
 
 
-def _contraction_at_points(P, k, name, points, check, label, seed=None):
-    """Evaluate the contraction criterion at each tuple of covector points.
+def _contraction_at_points(P, k, name, inner, label, tuples, total, rank, seed=None):
+    """Evaluate the contraction criterion at tuples of covector points.
 
-    Each tuple (alpha_1, ..., alpha_m), m = s-k, of coordinate vectors is
-    wedged, contracted into P, and the k-vector Q = i(alpha_1 ^ ... ^
-    alpha_m)P is handed to ``check``; the first failure becomes a witness
-    that re-evaluates from its coordinates.  With m = 0 there is nothing to
-    contract by and one ``check`` of P decides.  ``seed`` is None for the
-    exact grid and marks a randomized pass as probabilistic otherwise.
+    Each tuple of m = s-k points, each a (coordinates, terms) pair, is wedged
+    and contracted into P, and the k-vector Q = i(alpha_1 ^ ... ^ alpha_m)P is
+    checked with the ``inner`` linear criterion; the first failure becomes a
+    witness that re-evaluates from its coordinates.  ``tuples`` may leave out
+    tuples that pass: ``rank(i, coords)`` is the 0-based position t of the
+    i-th tuple visited among the ``total`` tuples of the whole sweep, each of
+    which passes with the inner criterion's closed-form count, so a failure
+    counts t of those plus its own equations and a pass ``total`` of them.
+    With m = 0 one inner check of P decides.  ``seed`` is None for the exact
+    grid and marks a randomized pass as probabilistic otherwise.
     """
     n, s = P.dim, P.grade
     if s == k:
-        rep = check(P)
+        rep = _pluecker(P, inner)
         return CriterionReport(name, rep.verdict, rep.equations_checked, rep.witness, seed=seed)
-    checked = 0
-    for t, coords in enumerate(points):
-        coords = list(coords)
+    shift = _LINEAR[inner][0]
+    per = comb0(n, k - shift) * comb0(n, k + shift)
+    for i, points in enumerate(tuples):
         phi_terms: Mapping[int, Coeff] = {0: 1}
-        for vec in coords:
-            phi_terms = wedge_terms(phi_terms, {1 << i: c for i, c in enumerate(vec) if c})
-        rep = check(Multivector(n, k, interior_terms(phi_terms, P.terms)))
-        checked += rep.equations_checked
+        for _, terms in points:
+            phi_terms = wedge_terms(phi_terms, terms)
+        rep = _pluecker(Multivector(n, k, interior_terms(phi_terms, P.terms)), inner)
         if not rep.verdict:
-            inner = rep.witness
+            coords = [vec for vec, _ in points]
+            t = rank(i, coords)
             witness = Witness(
-                equation=(t, tuple(coords)) + inner.equation,
-                component=inner.component,
-                value=inner.value,
-                text=f"{label} {t}, alphas={coords}: {inner.text}",
+                equation=(t, tuple(coords)) + rep.witness.equation,
+                component=rep.witness.component,
+                value=rep.witness.value,
+                text=f"{label} {t}, alphas={coords}: {rep.witness.text}",
             )
-            return CriterionReport(name, False, checked, witness, seed=seed)
-    return CriterionReport(name, True, checked, probabilistic=seed is not None, seed=seed)
+            return CriterionReport(name, False, t * per + rep.equations_checked, witness, seed=seed)
+    return CriterionReport(name, True, total * per, probabilistic=seed is not None, seed=seed)
 
 
-def _grid_points(n: int):
-    """The covectors e^i and e^i + e^j (i < j), as coordinate tuples."""
-    units = [tuple(int(x == i) for x in range(n)) for i in range(n)]
+def _grid_points(n: int, indices: Sequence[int]):
+    """The covectors e^i and e^i + e^j (i < j) over ``indices``, in the full
+    grid's order, each as (coordinates, terms)."""
+    units = [(tuple(int(x == i - 1) for x in range(n)), {1 << (i - 1): 1}) for i in indices]
     return units + [
-        tuple(a + b for a, b in zip(u, v)) for u, v in combinations(units, 2)
+        (tuple(a + b for a, b in zip(u, v)), {**tu, **tv})
+        for (u, tu), (v, tv) in combinations(units, 2)
     ]
+
+
+def _grid_position(vec: Sequence[int], n: int) -> int:
+    """1-based position of a grid covector in the full grid: e^i at i, then
+    e^i + e^j at n + subset_rank((i, j), n)."""
+    idx = tuple(i for i, c in enumerate(vec, 1) if c)
+    return idx[0] if len(idx) == 1 else n + subset_rank(idx, n)
 
 
 def _random_points(n, m, trials, seed, bound):
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        yield [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+        coords = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+        yield [(vec, {1 << i: c for i, c in enumerate(vec) if c}) for vec in coords]
 
 
 def contraction_criterion(
@@ -274,14 +290,19 @@ def contraction_criterion(
     its m-fold product is unisolvent for forms quadratic in each a_i; F is
     symmetric in the a_i up to a sign that the quadratic relations absorb,
     and vanishes when two of them coincide, so the m-subsets of grid points
-    carry all of that information.  ``equations_checked`` sums the improved
-    equations over the grid points visited, and a witness names the point
-    and its covector coordinates.
+    carry all of that information.  Only the sets inside the indices P
+    touches are visited: a point e^i off them contracts P to zero, and
+    e^i + e^j with i off them acts as e^j, which gives a lex-smaller set with
+    the same contraction (or a repeated covector), so the first failing set
+    lies inside.  A witness names its set by the lex position t among all
+    m-sets of the full grid, and ``equations_checked`` counts per = C(n,k-2)*C(n,k+2) improved
+    equations for each set before it, or for all C(n + C(n,2), m) on a pass.
 
     Randomized mode evaluates at ``trials`` seeded integer tuples drawn from
     [-bound, bound] and checks each with the classical relations: a nonzero
     evaluation certifies failure, while an all-zero run yields a pass
-    flagged as probabilistic.  With k = s both modes run one check of P.
+    flagged as probabilistic; it counts C(n,k-1)*C(n,k+1) classical
+    equations per trial.  With k = s both modes run one check of P.
     """
     require_vector(P, "P")
     if not isinstance(k, int) or k < 2:
@@ -302,11 +323,19 @@ def contraction_criterion(
         return CriterionReport(name, True, 0)
     if k > s:
         raise InputError(f"k must satisfy 2 <= k <= grade={s}, got {k}")
+    m = s - k
     if mode == "symbolic":
-        points = combinations(_grid_points(n), s - k)
-        return _contraction_at_points(P, k, name, points, improved_pluecker, "point")
-    points = _random_points(n, s - k, trials, seed, bound)
-    return _contraction_at_points(P, k, name, points, classical_pluecker, "trial", seed)
+        size = n + comb(n, 2)
+        return _contraction_at_points(
+            P, k, name, "improved", "point",
+            combinations(_grid_points(n, touched_indices(P.terms)), m),
+            comb(size, m),
+            lambda i, coords: subset_rank([_grid_position(v, n) for v in coords], size) - 1,
+        )
+    points = _random_points(n, m, trials, seed, bound)
+    return _contraction_at_points(
+        P, k, name, "classical", "trial", points, trials, lambda i, coords: i, seed
+    )
 
 
 # -- optimal irreducible-component test -------------------------------------------
