@@ -294,8 +294,10 @@ def contraction_criterion(
     touches are visited: a point e^i off them contracts P to zero, and
     e^i + e^j with i off them acts as e^j, which gives a lex-smaller set with
     the same contraction (or a repeated covector), so the first failing set
-    lies inside.  A witness names its set by the lex position t among all
-    m-sets of the full grid, and ``equations_checked`` counts per = C(n,k-2)*C(n,k+2) improved
+    lies inside.  When P touches at most s+1 indices it is decomposable (it
+    lies in Lambda^s of that many dimensions) and no set is visited.  A
+    witness names its set by the lex position t among all m-sets of the full
+    grid, and ``equations_checked`` counts per = C(n,k-2)*C(n,k+2) improved
     equations for each set before it, or for all C(n + C(n,2), m) on a pass.
 
     Randomized mode evaluates at ``trials`` seeded integer tuples drawn from
@@ -325,10 +327,11 @@ def contraction_criterion(
         raise InputError(f"k must satisfy 2 <= k <= grade={s}, got {k}")
     m = s - k
     if mode == "symbolic":
+        touched = touched_indices(P.terms)
         size = n + comb(n, 2)
         return _contraction_at_points(
             P, k, name, "improved", "point",
-            combinations(_grid_points(n, touched_indices(P.terms)), m),
+            combinations(_grid_points(n, touched if len(touched) > s + 1 else ()), m),
             comb(size, m),
             lambda i, coords: subset_rank([_grid_position(v, n) for v in coords], size) - 1,
         )

@@ -367,12 +367,17 @@ def iter_projection_blocks(
     D[u] ^ D[v] of the contractions D[u] = i(e^u)P, which are kept once per
     sorted u, keyed by its mask; an unsorted u contributes the sign of
     sorting it.  Pair tuples come in lex order, which fixes the first witness,
-    and only inside the indices P touches: the other blocks are zero.
+    and only inside the indices P touches: the other blocks are zero.  When P
+    touches at most s+1 indices it lies in Lambda^s of a space of that
+    dimension, so it is decomposable and nothing is yielded.
     """
     require_vector(P, "projection target")
     s = P.grade
     if s < 2:
         raise InputError(f"projection needs grade >= 2, got {s}")
+    touched = touched_indices(P.terms)
+    if len(touched) <= s + 1:
+        return
     k = s - 2
     if k == 0:
         yield (), wedge_terms(P.terms, P.terms), 6
@@ -381,7 +386,7 @@ def iter_projection_blocks(
     # D[u] = i(e^u)P, the 2-form P(u, x, y), for every sorted u inside a term.
     d = {u: interior_terms({u: 1}, P.terms) for u in term_subsets(P.terms, k)}
 
-    pair_list = list(combinations_with_replacement(touched_indices(P.terms), 2))
+    pair_list = list(combinations_with_replacement(touched, 2))
     denom = 3 * (1 << k)
     for pairs in combinations_with_replacement(pair_list, k):
         block: dict[int, Coeff] = {}

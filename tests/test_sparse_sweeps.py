@@ -65,22 +65,52 @@ BLADES = (
 )
 
 
-@pytest.mark.parametrize("criterion,n,s", BLADES)
-def test_blade_sweeps_finish_within_a_timeout(criterion, n, s, tmp_path):
-    # in a child with a timeout, so a sweep that visits every quantifier of
-    # the ambient dimension, not just those inside the blade, fails the test
-    path = str(tmp_path / "blade.json")
-    dump(e(n, *range(1, s + 1)), path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "plk", "check", "--criterion", criterion, path],
-        capture_output=True, text=True, timeout=60,
-    )
-    if criterion == "optimal":  # the whole family: multichoose(C(n+1,2), s-2) * C(n,4)
+def pass_line(criterion, n, s):
+    """The report line of a pass: every sweep counts its whole quantifier."""
+    name = criterion
+    if criterion == "optimal":  # multichoose(C(n+1,2), s-2) * C(n,4)
         count = comb(comb(n + 1, 2) + s - 3, s - 2) * comb(n, 4)
+    elif criterion == "contraction":  # (s-2)-sets of n + C(n,2) grid points, C(n,4) each
+        name = "contraction(k=2)"
+        count = comb(n + comb(n, 2), s - 2) * comb(n, 4)
+    elif criterion == "oracle":
+        count = comb(n, s - 1)
     else:
         count = equation_count(n, s, criterion)
-    line = f"{criterion:<18} true   equations={count}\n"
-    assert (proc.returncode, proc.stdout) == (0, line + "result: simple\n")
+    return f"{name:<18} true   equations={count}\n"
+
+
+def check_in_child(P, tmp_path, *args):
+    # in a child with a timeout, so a sweep that visits every quantifier of
+    # the ambient dimension, not just those inside P, fails the test
+    path = str(tmp_path / "p.json")
+    dump(P, path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "plk", "check", *args, path],
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("criterion,n,s", BLADES)
+def test_blade_sweeps_finish_within_a_timeout(criterion, n, s, tmp_path):
+    out = check_in_child(e(n, *range(1, s + 1)), tmp_path, "--criterion", criterion)
+    assert out == (0, pass_line(criterion, n, s) + "result: simple\n")
+
+
+@pytest.mark.parametrize("n,s", ((16, 6), (32, 8), (64, 32)))
+def test_default_check_on_blades_finishes_within_a_timeout(n, s, tmp_path):
+    lines = "".join(pass_line(criterion, n, s) for criterion in CRITERIA)
+    assert check_in_child(e(n, *range(1, s + 1)), tmp_path) == (0, lines + "result: simple\n")
+
+
+@pytest.mark.parametrize("criterion", ("optimal", "contraction"))
+@pytest.mark.parametrize("n,s", ((9, 8), (10, 9)))
+def test_inputs_touching_at_most_s_plus_1_indices_pass_at_once(criterion, n, s, tmp_path):
+    # P lies in Lambda^s of an (s+1)-dimensional space, so it is decomposable
+    P = rand_mv(seeded(14, n), n, s, bound=3)
+    out = check_in_child(P, tmp_path, "--criterion", criterion)
+    assert out == (0, pass_line(criterion, n, s) + "result: simple\n")
 
 
 # -- relabeling ------------------------------------------------------------------
