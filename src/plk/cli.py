@@ -101,10 +101,15 @@ def _report_json(rep: CriterionReport) -> dict:
     }
 
 
-def cmd_check(args) -> int:
-    P = serialize.load(args.file)
+def _load_vector(path: str):
+    P = serialize.load(path)
     if P.dual:
         raise InputError("expected a vector file (dual=false)")
+    return P
+
+
+def cmd_check(args) -> int:
+    P = _load_vector(args.file)
     opts = dict(k=args.k, mode=args.mode, trials=args.trials, seed=args.seed, bound=args.bound)
     if args.criterion == "all":
         reports = run_all_criteria(P, **opts)
@@ -134,10 +139,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    P = serialize.load(args.file)
-    if P.dual:
-        raise InputError("expected a vector file (dual=false)")
-    factors = criteria.factorize(P)
+    factors = criteria.factorize(_load_vector(args.file))
     if factors is None:
         print("not simple")
         return 1
@@ -229,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvariantViolation as e:
