@@ -210,14 +210,13 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
 def _contraction_at_points(P, k, name, inner, label, tuples, total, rank, seed=None):
     """Evaluate the contraction criterion at tuples of covector points.
 
-    Each tuple of m = s-k points, each a (coordinates, terms) pair, is wedged
-    and contracted into P, and the k-vector Q = i(alpha_1 ^ ... ^ alpha_m)P is
-    checked with the ``inner`` linear criterion; the first failure becomes a
-    witness that re-evaluates from its coordinates.  ``tuples`` may leave out
-    tuples that pass: ``rank(i, coords)`` is the 0-based position t of the
-    i-th tuple visited among the ``total`` tuples of the whole sweep, each of
-    which passes with the inner criterion's closed-form count, so a failure
-    counts t of those plus its own equations and a pass ``total`` of them.
+    Each tuple of m = s-k (coordinates, terms) points is wedged and
+    contracted into P, and the k-vector Q is checked with the ``inner``
+    linear criterion; the first failure becomes a witness that re-evaluates
+    from its coordinates.  ``tuples`` may leave out passing tuples:
+    ``rank(i, coords)`` is the 0-based position t of the i-th tuple visited
+    among all ``total``, and every tuple passes with the inner closed-form
+    count, so a failure counts t of those plus its own, a pass ``total``.
     With m = 0 one inner check of P decides.  ``seed`` is None for the exact
     grid and marks a randomized pass as probabilistic otherwise.
     """

@@ -253,9 +253,12 @@ def reference_contraction(P, k, mode, trials, seed, bound):
     return True, checked, None
 
 
-def contraction_inputs(rng, n, s):
-    """A seeded input of each kind: dense, sparse (few terms, so often fewer
-    than n indices touched), Fraction and decomposable."""
+def seeded_input(trial):
+    """A seeded dense, sparse (few terms, so often fewer than n indices
+    touched), Fraction or decomposable input with n <= 7."""
+    rng = seeded(12, trial)
+    n = rng.randint(2, 7)
+    s = rng.randint(2, n)
     kind = rng.choice(("dense", "sparse", "fraction", "simple"))
     if kind == "simple":
         return random_simple(rng, n, s, bound=2)
@@ -263,23 +266,10 @@ def contraction_inputs(rng, n, s):
     return rand_mv(rng, n, s, bound=3, max_terms=terms, rational=kind == "fraction")
 
 
-@pytest.mark.parametrize("trial", range(48))
-def test_contraction_matches_a_full_grid_reference(trial):
-    rng = seeded(12, trial)
-    n = rng.randint(2, 7)
-    s = rng.randint(2, n)
-    P = contraction_inputs(rng, n, s)
-    for k in range(2, s + 1):
-        for mode in ("symbolic", "randomized"):
-            if mode == "symbolic" and comb(n + comb(n, 2), s - k) > 1500:
-                continue  # a full-grid scan of that size is too slow here
-            rep = contraction_criterion(P, k, mode, trials=6, seed=trial, bound=2)
-            equation = rep.witness.equation if rep.witness else None
-            ref = reference_contraction(P, k, mode, trials=6, seed=trial, bound=2)
-            assert (rep.verdict, rep.equations_checked, equation) == ref, (k, mode, str(P))
-
-
-@pytest.mark.parametrize("P", [
+# Seeded inputs, then inputs touching fewer than n indices (the last two
+# decomposable with more than s+1 of them).
+CONTRACTION_INPUTS = [
+    *(seeded_input(trial) for trial in range(48)),
     e(7, 1, 2, 3) + e(7, 4, 5, 6),
     e(7, 2, 3, 4) + e(7, 2, 5, 6),
     e(7, 1, 2, 4) + e(7, 1, 3, 5),
@@ -288,14 +278,21 @@ def test_contraction_matches_a_full_grid_reference(trial):
     e(5, 2, 4, 5),
     wedge(e(6, 1) + e(6, 2), e(6, 3) + e(6, 4)),
     reduce(wedge, [e(7, 1) + e(7, 2), e(7, 3) + e(7, 4), e(7, 5) + e(7, 6)]),
-], ids=str)
-def test_contraction_on_inputs_touching_fewer_indices_matches_the_reference(P):
-    for k in range(2, P.grade + 1):
+]
+
+
+@pytest.mark.parametrize("case", range(len(CONTRACTION_INPUTS)))
+def test_contraction_matches_a_full_grid_reference(case):
+    P = CONTRACTION_INPUTS[case]
+    n, s = P.dim, P.grade
+    for k in range(2, s + 1):
         for mode in ("symbolic", "randomized"):
-            rep = contraction_criterion(P, k, mode, trials=6, seed=k, bound=2)
+            if mode == "symbolic" and comb(n + comb(n, 2), s - k) > 1500:
+                continue  # a full-grid scan of that size is too slow here
+            rep = contraction_criterion(P, k, mode, trials=6, seed=case, bound=2)
             equation = rep.witness.equation if rep.witness else None
-            ref = reference_contraction(P, k, mode, trials=6, seed=k, bound=2)
-            assert (rep.verdict, rep.equations_checked, equation) == ref, (k, mode)
+            ref = reference_contraction(P, k, mode, trials=6, seed=case, bound=2)
+            assert (rep.verdict, rep.equations_checked, equation) == ref, (k, mode, str(P))
 
 
 # -- expectations -----------------------------------------------------------------
