@@ -26,7 +26,7 @@ the zero multivector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -207,65 +207,25 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
 # -- contraction criterion (evaluation at covector points) ------------------------
 
 
-def _contraction_at_points(P, k, name, inner, label, tuples, total, rank, seed=None):
-    """Evaluate the contraction criterion at tuples of covector points.
-
-    Each tuple of m = s-k (coordinates, terms) points is wedged and
-    contracted into P, and the k-vector Q is checked with the ``inner``
-    linear criterion; the first failure becomes a witness that re-evaluates
-    from its coordinates.  ``tuples`` may leave out passing tuples:
-    ``rank(i, coords)`` is the 0-based position t of the i-th tuple visited
-    among all ``total``, and every tuple passes with the inner closed-form
-    count, so a failure counts t of those plus its own, a pass ``total``.
-    With m = 0 one inner check of P decides.  ``seed`` is None for the exact
-    grid and marks a randomized pass as probabilistic otherwise.
-    """
-    n, s = P.dim, P.grade
-    if s == k:
-        rep = _pluecker(P, inner)
-        return CriterionReport(name, rep.verdict, rep.equations_checked, rep.witness, seed=seed)
-    shift = _LINEAR[inner][0]
-    per = comb0(n, k - shift) * comb0(n, k + shift)
-    for i, points in enumerate(tuples):
-        phi_terms: Mapping[int, Coeff] = {0: 1}
-        for _, terms in points:
-            phi_terms = wedge_terms(phi_terms, terms)
-        rep = _pluecker(Multivector(n, k, interior_terms(phi_terms, P.terms)), inner)
-        if not rep.verdict:
-            coords = [vec for vec, _ in points]
-            t = rank(i, coords)
-            witness = Witness(
-                equation=(t, tuple(coords)) + rep.witness.equation,
-                component=rep.witness.component,
-                value=rep.witness.value,
-                text=f"{label} {t}, alphas={coords}: {rep.witness.text}",
-            )
-            return CriterionReport(name, False, t * per + rep.equations_checked, witness, seed=seed)
-    return CriterionReport(name, True, total * per, probabilistic=seed is not None, seed=seed)
-
-
-def _grid_points(n: int, indices: Sequence[int]):
+def _grid_points(indices: Sequence[int]) -> list[dict[int, int]]:
     """The covectors e^i and e^i + e^j (i < j) over ``indices``, in the full
-    grid's order, each as (coordinates, terms)."""
-    units = [(tuple(int(x == i - 1) for x in range(n)), {1 << (i - 1): 1}) for i in indices]
-    return units + [
-        (tuple(a + b for a, b in zip(u, v)), {**tu, **tv})
-        for (u, tu), (v, tv) in combinations(units, 2)
-    ]
+    grid's order, each as its terms."""
+    units = [{1 << (i - 1): 1} for i in indices]
+    return units + [{**u, **v} for u, v in combinations(units, 2)]
 
 
-def _grid_position(vec: Sequence[int], n: int) -> int:
+def _grid_position(terms: Mapping[int, Coeff], n: int) -> int:
     """1-based position of a grid covector in the full grid: e^i at i, then
     e^i + e^j at n + subset_rank((i, j), n)."""
-    idx = tuple(i for i, c in enumerate(vec, 1) if c)
+    idx = touched_indices(terms)
     return idx[0] if len(idx) == 1 else n + subset_rank(idx, n)
 
 
 def _random_points(n, m, trials, seed, bound):
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        coords = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
-        yield [(vec, {1 << i: c for i, c in enumerate(vec) if c}) for vec in coords]
+        coords = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        yield [{1 << i: c for i, c in enumerate(vec) if c} for vec in coords]
 
 
 def contraction_criterion(
@@ -304,6 +264,10 @@ def contraction_criterion(
     evaluation certifies failure, while an all-zero run yields a pass
     flagged as probabilistic; it counts C(n,k-1)*C(n,k+1) classical
     equations per trial.  With k = s both modes run one check of P.
+
+    Both modes run one loop over sets of m sparse covectors (their terms),
+    and the witness's t and coordinate tuples ``alphas`` are derived from
+    the failing set's terms.
     """
     require_vector(P, "P")
     if not isinstance(k, int) or k < 2:
@@ -325,19 +289,35 @@ def contraction_criterion(
     if k > s:
         raise InputError(f"k must satisfy 2 <= k <= grade={s}, got {k}")
     m = s - k
-    if mode == "symbolic":
+    exact = mode == "symbolic"
+    if exact:
+        inner, label, report_seed = "improved", "point", None
         touched = touched_indices(P.terms)
         size = n + comb(n, 2)
-        return _contraction_at_points(
-            P, k, name, "improved", "point",
-            combinations(_grid_points(n, touched if len(touched) > s + 1 else ()), m),
-            comb(size, m),
-            lambda i, coords: subset_rank([_grid_position(v, n) for v in coords], size) - 1,
-        )
-    points = _random_points(n, m, trials, seed, bound)
-    return _contraction_at_points(
-        P, k, name, "classical", "trial", points, trials, lambda i, coords: i, seed
-    )
+        point_sets = combinations(_grid_points(touched if len(touched) > s + 1 else ()), m)
+        total = comb(size, m)
+    else:
+        inner, label, report_seed = "classical", "trial", seed
+        point_sets, total = _random_points(n, m, trials, seed, bound), trials
+    if m == 0:
+        return replace(_pluecker(P, inner), criterion=name, seed=report_seed)
+    shift = _LINEAR[inner][0]
+    per = comb0(n, k - shift) * comb0(n, k + shift)
+    for i, points in enumerate(point_sets):
+        phi_terms = reduce(wedge_terms, points, {0: 1})
+        rep = _pluecker(Multivector(n, k, interior_terms(phi_terms, P.terms)), inner)
+        if not rep.verdict:
+            t = subset_rank([_grid_position(a, n) for a in points], size) - 1 if exact else i
+            alphas = [tuple(a.get(1 << x, 0) for x in range(n)) for a in points]
+            witness = Witness(
+                equation=(t, tuple(alphas)) + rep.witness.equation,
+                component=rep.witness.component,
+                value=rep.witness.value,
+                text=f"{label} {t}, alphas={alphas}: {rep.witness.text}",
+            )
+            checked = t * per + rep.equations_checked
+            return CriterionReport(name, False, checked, witness, seed=report_seed)
+    return CriterionReport(name, True, total * per, probabilistic=not exact, seed=report_seed)
 
 
 # -- optimal irreducible-component test -------------------------------------------
@@ -358,14 +338,14 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
         raise InputError(f"optimal component test needs grade >= 2, got {s}")
     n, k = P.dim, s - 2
     per_block = comb0(n, 4)
-    # Pair (a <= b) has 0-based lex position p = (a-1)(2n+2-a)/2 + b-a; the
-    # t-th pair of a tuple at p + t + 1 makes it a k-subset of 1..slots.
+    # Pair (a <= b) is the 2-subset {a, b+1} of 1..n+1, in the same lex order;
+    # the t-th pair of a tuple at its position + t makes it a k-subset of 1..slots.
     slots = comb(n + 1, 2) + k - 1
     for pairs, block, denom in young.iter_projection_blocks(P):
         if block:
             comp, raw = _first_component(block)
             val = Fraction(raw, denom)
-            q = [(a - 1) * (2 * n + 2 - a) // 2 + b - a + t + 1 for t, (a, b) in enumerate(pairs)]
+            q = [subset_rank((a, b + 1), n + 1) + t for t, (a, b) in enumerate(pairs)]
             checked = (subset_rank(q, slots) - 1) * per_block + subset_rank(comp, n)
             pair_txt = ",".join("{%d,%d}" % p for p in pairs) or "-"
             witness = Witness(
