@@ -39,6 +39,7 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
+    _is_int,
     check_dim,
     contract_into,
     contract_terms,
@@ -270,13 +271,13 @@ def contraction_criterion(
     the failing set's terms.
     """
     require_vector(P, "P")
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise InputError(f"contraction order k must be an integer >= 2, got {k}")
     if mode not in ("symbolic", "randomized"):
         raise InputError(f"mode must be 'symbolic' or 'randomized', got {mode!r}")
     if mode == "randomized":
         for what, value in (("trials", trials), ("seed", seed), ("bound", bound)):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise InputError(f"{what} must be an integer, got {value!r}")
         if trials < 1:
             raise InputError(f"trials must be >= 1, got {trials}")
@@ -473,7 +474,7 @@ def equation_count(n: int, s: int, criterion: str) -> int:
     strictly smaller.
     """
     check_dim(n)
-    if not (0 <= s <= n):
+    if not (_is_int(s) and 0 <= s <= n):
         raise InputError(f"need 0 <= s <= n, got s={s}, n={n}")
     if criterion in _LINEAR:
         shift = _LINEAR[criterion][0]

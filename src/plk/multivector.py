@@ -111,6 +111,11 @@ def sorted_mask(indices: Sequence[int]) -> tuple[int, int]:
     return mask, sign
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_coeff(c: Coeff, what: str = "coefficients") -> None:
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise InputError(f"{what} must be int or Fraction, got {c!r}")
@@ -118,7 +123,7 @@ def _check_coeff(c: Coeff, what: str = "coefficients") -> None:
 
 def check_dim(dim: int) -> None:
     """Refuse a dimension the bitmasks do not cover."""
-    if isinstance(dim, bool) or not isinstance(dim, int) or not (1 <= dim <= 64):
+    if not _is_int(dim) or not (1 <= dim <= 64):
         raise InputError(f"dim must be an integer in [1, 64], got {dim}")
 
 
@@ -131,6 +136,8 @@ def require_vector(p: Multivector, what: str) -> None:
 def _index_mask(dim: int, grade: int, idx: list[int], where: str) -> int:
     """Mask of ``grade`` strictly increasing indices in [1, dim]; an
     InputError names the indices by ``where``."""
+    if not all(map(_is_int, idx)):
+        raise InputError(f"{where}: indices must be integers")
     if len(idx) != grade:
         raise InputError(f"{where}: expected {grade} indices")
     if any(a >= b for a, b in zip(idx, idx[1:])):
@@ -158,12 +165,12 @@ class Multivector:
         dual: bool = False,
     ):
         check_dim(dim)
-        if isinstance(grade, bool) or not isinstance(grade, int) or grade < 0:
+        if not _is_int(grade) or grade < 0:
             raise InputError(f"grade must be a nonnegative integer, got {grade}")
         clean: dict[int, Coeff] = {}
         top = 1 << dim
         for mask, c in (terms or {}).items():
-            if not isinstance(mask, int) or mask < 0 or mask >= top:
+            if not _is_int(mask) or mask < 0 or mask >= top:
                 raise InputError(f"index set {mask!r} out of range for dim {dim}")
             if mask.bit_count() != grade:
                 raise InputError(
@@ -173,9 +180,11 @@ class Multivector:
             _check_coeff(c)
             if c:
                 clean[mask] = c
+        if not isinstance(dual, bool):
+            raise InputError(f"dual must be a bool, got {dual!r}")
         self.dim = dim
         self.grade = grade
-        self.dual = bool(dual)
+        self.dual = dual
         self.terms = clean
 
     # -- construction helpers ------------------------------------------------

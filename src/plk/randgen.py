@@ -9,15 +9,15 @@ from __future__ import annotations
 import random
 
 from .criteria import InvariantViolation, from_factors, is_simple_oracle
-from .multivector import Coeff, InputError, Multivector, basis_subsets, check_dim, mask_of
+from .multivector import Coeff, InputError, Multivector, _is_int, basis_subsets, check_dim, mask_of
 
 
 def _check_args(dim: int, bound: int, grade: int = 1) -> None:
     """Refuse up front the arguments no draw can satisfy, instead of looping."""
     check_dim(dim)
-    if isinstance(grade, bool) or not isinstance(grade, int) or not 0 <= grade <= dim:
+    if not _is_int(grade) or not 0 <= grade <= dim:
         raise InputError(f"grade must be an integer in [0, {dim}], got {grade}")
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise InputError(f"bound must be an integer >= 1, got {bound}")
 
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .multivector import Coeff, InputError, Multivector
+from .multivector import Coeff, InputError, Multivector, _is_int
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -48,9 +48,7 @@ def _term_pairs(raw_terms: list) -> Iterator[tuple[list[int], Coeff]]:
         if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
             raise InputError(f"term {pos}: expected {{'indices': [...], 'coeff': ...}}")
         idx = item["indices"]
-        if not isinstance(idx, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in idx
-        ):
+        if not isinstance(idx, list) or not all(map(_is_int, idx)):
             raise InputError(f"term {pos}: indices must be a list of integers")
         yield idx, _parse_coeff(item["coeff"], f"term {pos} (indices {idx})")
 
@@ -62,7 +60,7 @@ def parse_multivector(obj: Any) -> Multivector:
     for field in ("dim", "grade"):
         if field not in obj:
             raise InputError(f"missing field {field!r}")
-        if isinstance(obj[field], bool) or not isinstance(obj[field], int):
+        if not _is_int(obj[field]):
             raise InputError(f"field {field!r} must be an integer")
     dual = obj.get("dual", False)
     if not isinstance(dual, bool):

@@ -24,6 +24,7 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
+    _is_int,
     _nonzero,
     check_dim,
     indices_of,
@@ -52,7 +53,11 @@ class TwoColumnShape:
     second_col: int
 
     def __post_init__(self):
-        if not (0 <= self.second_col <= self.first_col):
+        if not (
+            _is_int(self.first_col)
+            and _is_int(self.second_col)
+            and 0 <= self.second_col <= self.first_col
+        ):
             raise InputError(
                 f"column heights must satisfy first >= second >= 0, "
                 f"got ({self.first_col}, {self.second_col})"
@@ -74,7 +79,7 @@ def _as_partition(shape) -> tuple[int, ...]:
     if isinstance(shape, TwoColumnShape):
         return shape.partition()
     part = tuple(shape)
-    if any(not isinstance(x, int) or x < 1 for x in part):
+    if any(not _is_int(x) or x < 1 for x in part):
         raise InputError(f"partition rows must be positive integers, got {part}")
     if any(a < b for a, b in zip(part, part[1:])):
         raise InputError(f"partition rows must be weakly decreasing, got {part}")
@@ -114,7 +119,7 @@ def young_dim(n: int, shape) -> int:
     as one exact integer quotient at the end.  Zero when the shape has more
     than n rows.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     part = _as_partition(shape)
     num = prod(n + j - i for i, row in enumerate(part) for j in range(row))
@@ -157,7 +162,7 @@ def verify_square_decomposition(n: int, s: int) -> SquareDecompositionReport:
     and Lambda^(s+2) (x) Lambda^(s-2).
     """
     check_dim(n)
-    if not (1 <= s <= n):
+    if not (_is_int(s) and 1 <= s <= n):
         raise InputError(f"need 1 <= s <= n, got s={s}, n={n}")
     shapes = [TwoColumnShape(s + j, s - j) for j in range(s + 1)]
     dims = tuple((sh, young_dim(n, sh)) for sh in shapes)

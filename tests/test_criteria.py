@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +226,10 @@ def test_contraction_validates_k():
         contraction_criterion(p, 1)
     with pytest.raises(InputError):
         contraction_criterion(p, 4)
+    for k in (True, 2.0):
+        with pytest.raises(InputError) as exc:
+            contraction_criterion(p, k)
+        assert str(exc.value) == f"contraction order k must be an integer >= 2, got {k}"
     with pytest.raises(InputError):
         contraction_criterion(p, 2, mode="sideways")
     # Arguments are checked before the vacuous pass at grades below 2.
@@ -343,6 +348,16 @@ def test_factorize_scaling():
     p = 6 * e(4, 1, 2, 3)
     factors = factorize(p)
     assert factors == [6 * e(4, 1), e(4, 2), e(4, 3)]
+
+
+def test_readme_quick_start_prints_what_its_comment_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    printed = capsys.readouterr().out.splitlines()
+    comment = next(line for line in code.splitlines() if "factorize(" in line).split("# ", 1)[1]
+    assert printed[-1] == comment == "6*e_{1} e_{2} e_{3}"
 
 
 def test_factorize_nonsimple_returns_none():

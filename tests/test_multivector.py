@@ -147,11 +147,17 @@ def test_constructor_validates():
         # is refused by the size check
         (lambda: Multivector(3, 5, {0b111: 1}),
          "index set (1, 2, 3) has size 3, expected grade 5"),
+        (lambda: Multivector.from_terms(4, 1, [((1.0,), 1)]),
+         "term 0 (indices [1.0]): indices must be integers"),
+        (lambda: Multivector.basis(4, (1.5,)),
+         "term 0 (indices [1.5]): indices must be integers"),
+        (lambda: Multivector.from_terms(4, 2, [((1, 2), 1), ((2, "3"), 1)]),
+         "term 1 (indices [2, '3']): indices must be integers"),
     ],
     ids=[
         "range-high", "range-low", "length", "order", "duplicate", "coeff",
         "basis-range", "basis-order", "basis-repeat", "bad-dim", "bad-grade",
-        "grade-past-dim",
+        "grade-past-dim", "float-index", "basis-float-index", "str-index",
     ],
 )
 def test_term_errors_name_the_term(build, message):
@@ -166,8 +172,13 @@ def test_term_errors_name_the_term(build, message):
         (lambda: Multivector(4, True, {1: 1}), "grade must be a nonnegative integer, got True"),
         (lambda: Multivector(True, 1, {1: 1}), "dim must be an integer in [1, 64], got True"),
         (lambda: check_dim(True), "dim must be an integer in [1, 64], got True"),
+        (lambda: Multivector(4, 1, {True: 1}), "index set True out of range for dim 4"),
+        (lambda: Multivector.from_terms(4, 1, [((True,), 1)]),
+         "term 0 (indices [True]): indices must be integers"),
+        (lambda: Multivector.basis(4, (1, True)),
+         "term 0 (indices [1, True]): indices must be integers"),
     ],
-    ids=["grade", "dim", "check_dim"],
+    ids=["grade", "dim", "check_dim", "mask", "index", "basis-index"],
 )
 def test_bool_is_not_an_integer(build, message):
     with pytest.raises(InputError) as exc:
@@ -181,6 +192,8 @@ def test_bool_is_not_an_integer(build, message):
         ((2, 1), "indices [2, 1]: indices must be strictly increasing"),
         ((1, 9), "indices [1, 9]: indices must lie in [1, 4]"),
         ((1,), "indices [1]: expected 2 indices"),
+        ((1.0, 2), "indices [1.0, 2]: indices must be integers"),
+        ((True, 2), "indices [True, 2]: indices must be integers"),
     ],
 )
 def test_coeff_checks_indices_as_from_terms_does(indices, message):
@@ -190,6 +203,14 @@ def test_coeff_checks_indices_as_from_terms_does(indices, message):
     with pytest.raises(InputError) as exc:
         p.coeff(indices)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dual", ["false", 0, 1, None])
+def test_dual_must_be_a_bool(dual):
+    # bool("false") is True: reading the flag by truth value would build a covector
+    with pytest.raises(InputError) as exc:
+        Multivector(4, 1, {1: 1}, dual=dual)
+    assert str(exc.value) == f"dual must be a bool, got {dual!r}"
 
 
 def test_subset_rank_is_the_position_in_basis_subsets():

@@ -139,6 +139,27 @@ def test_square_decomposition_validates():
         verify_square_decomposition(4, 5)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: equation_count(8, 4.0, "classical"), "need 0 <= s <= n, got s=4.0, n=8"),
+        (lambda: equation_count(8, True, "classical"), "need 0 <= s <= n, got s=True, n=8"),
+        (lambda: verify_square_decomposition(6, True), "need 1 <= s <= n, got s=True, n=6"),
+        (lambda: young_dim(4.5, (2, 1)), "n must be >= 1, got 4.5"),
+        (lambda: TwoColumnShape(3.0, 1),
+         "column heights must satisfy first >= second >= 0, got (3.0, 1)"),
+        (lambda: young_dim(4, (2, True)),
+         "partition rows must be positive integers, got (2, True)"),
+    ],
+    ids=["count-float", "count-bool", "square-bool", "young-dim-float", "shape-float",
+         "partition-bool"],
+)
+def test_counts_and_shapes_refuse_non_integers(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 # -- symmetric group characters ----------------------------------------------------
 
 
