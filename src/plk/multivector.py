@@ -167,6 +167,8 @@ class Multivector:
         check_dim(dim)
         if not _is_int(grade) or grade < 0:
             raise InputError(f"grade must be a nonnegative integer, got {grade}")
+        if not isinstance(dual, bool):
+            raise InputError(f"dual must be a bool, got {dual!r}")
         clean: dict[int, Coeff] = {}
         top = 1 << dim
         for mask, c in (terms or {}).items():
@@ -180,8 +182,6 @@ class Multivector:
             _check_coeff(c)
             if c:
                 clean[mask] = c
-        if not isinstance(dual, bool):
-            raise InputError(f"dual must be a bool, got {dual!r}")
         self.dim = dim
         self.grade = grade
         self.dual = dual

@@ -226,10 +226,6 @@ def test_contraction_validates_k():
         contraction_criterion(p, 1)
     with pytest.raises(InputError):
         contraction_criterion(p, 4)
-    for k in (True, 2.0):
-        with pytest.raises(InputError) as exc:
-            contraction_criterion(p, k)
-        assert str(exc.value) == f"contraction order k must be an integer >= 2, got {k}"
     with pytest.raises(InputError):
         contraction_criterion(p, 2, mode="sideways")
     # Arguments are checked before the vacuous pass at grades below 2.
