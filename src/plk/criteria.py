@@ -39,14 +39,13 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
+    _Contractions,
     _is_int,
     check_dim,
     contract_into,
-    contract_terms,
     indices_of,
     interior,
     interior_terms,
-    mask_of,
     pairing,
     require_vector,
     subset_rank,
@@ -138,6 +137,12 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
 
     Covectors outside the indices P touches give zero equations (i(e^S)P needs
     S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
+
+    P is read through one lazy table of its basis contractions i(e^u)P.  A
+    primal equation wedges the entry at S onto P.  A dual equation first
+    contracts into e^Q the terms of P at the s-subsets of Q, the only ones
+    i_P e^Q reads; that gives a d-covector, whose interior product with P is
+    a sum of the table's entries at d-subsets of Q.
     """
     require_vector(P, "P")
     shift, dual = _LINEAR[name]
@@ -145,16 +150,20 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
     if s < shift:
         return CriterionReport(name, True, 0)
     terms = P.terms
+    table = _Contractions(terms)
     quant_grade, out_grade = (s + shift, s - shift) if dual else (s - shift, s + shift)
     per_equation = comb0(n, out_grade)
     symbol = "Phi" if name == "classical" else "Psi"
-    for S in combinations(touched_indices(terms), quant_grade):
-        q = {mask_of(S): 1}
+    bits = [1 << (i - 1) for i in touched_indices(terms)]
+    for sub in combinations(bits, quant_grade):
+        Q = sum(sub)
         if dual:
-            out = interior_terms(contract_terms(terms, q), terms)
+            inside = {m: terms[m] for m in map(sum, combinations(sub, s)) if m in terms}
+            out = table.interior(interior_terms(inside, {Q: 1}))
         else:
-            out = wedge_terms(interior_terms(q, terms), terms)
+            out = wedge_terms(table[Q], terms)
         if out:
+            S = indices_of(Q)
             comp, val = _first_component(out)
             checked = (subset_rank(S, n) - 1) * per_equation + subset_rank(comp, n)
             witness = Witness(

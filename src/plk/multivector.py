@@ -46,9 +46,11 @@ class InputError(ValueError):
 
 
 def mask_of(indices: Iterable[int]) -> int:
-    """Bitmask of a set of distinct 1-based indices."""
+    """Bitmask of a set of distinct 1-based integer indices."""
     mask = 0
     for i in indices:
+        if not _is_int(i):
+            raise InputError(f"indices must be integers, got {i!r}")
         if i < 1:
             raise InputError(f"indices must be >= 1, got {i}")
         bit = 1 << (i - 1)
@@ -376,6 +378,35 @@ def contract_terms(p: Mapping[int, Coeff], psi: Mapping[int, Coeff]) -> dict[int
     return interior_terms(p, psi)
 
 
+class _Contractions(dict):
+    """P's basis contractions: ``self[u]`` is the terms of i(e^u)P, built by
+    ``interior_terms({u: 1}, terms)`` on first use and kept.
+
+    An entry is empty exactly when u lies in no term of P: each pair (u, rest)
+    comes from one term, so nothing cancels.  The table is lazy, so a sweep
+    that stops early builds only the entries it reads.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[int, Coeff]):
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, u: int) -> dict[int, Coeff]:
+        self[u] = out = interior_terms({u: 1}, self.terms)
+        return out
+
+    def interior(self, phi: Mapping[int, Coeff]) -> dict[int, Coeff]:
+        """Terms of interior(phi, P), equal to ``interior_terms(phi, terms)``:
+        the kernel is linear in phi, so this is the sum of phi[u] * self[u]."""
+        out: dict[int, Coeff] = {}
+        for u, c in phi.items():
+            for m, v in self[u].items():
+                out[m] = out.get(m, 0) + c * v
+        return _nonzero(out)
+
+
 # -- public operations ---------------------------------------------------------
 
 
@@ -505,5 +536,8 @@ def touched_indices(terms: Iterable[int]) -> tuple[int, ...]:
 
 
 def term_subsets(terms: Iterable[int], r: int) -> set[int]:
-    """Masks of the r-subsets of the terms' index sets."""
-    return {mask_of(sub) for m in terms for sub in combinations(indices_of(m), r)}
+    """Masks of the r-subsets of the terms' index sets (a sum of distinct bits
+    is their union)."""
+    return {
+        sum(sub) for m in terms for sub in combinations([1 << (i - 1) for i in indices_of(m)], r)
+    }

@@ -24,14 +24,13 @@ from .multivector import (
     Coeff,
     InputError,
     Multivector,
+    _Contractions,
     _is_int,
     _nonzero,
     check_dim,
     indices_of,
-    interior_terms,
     require_vector,
     sorted_mask,
-    term_subsets,
     touched_indices,
     wedge_terms,
 )
@@ -369,8 +368,8 @@ def iter_projection_blocks(
 
     The skew over the four indices of the product of two pair-contracted
     2-forms is exactly their wedge, so each block is a signed sum of wedges
-    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, which are kept once per
-    sorted u, keyed by its mask; an unsorted u contributes the sign of
+    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, memoized on first use
+    and keyed by the mask of u; an unsorted u contributes the sign of
     sorting it.  Pair tuples come in lex order, which fixes the first witness,
     and only inside the indices P touches: the other blocks are zero.  When P
     touches at most s+1 indices it lies in Lambda^s of a space of that
@@ -388,8 +387,8 @@ def iter_projection_blocks(
         yield (), wedge_terms(P.terms, P.terms), 6
         return
 
-    # D[u] = i(e^u)P, the 2-form P(u, x, y), for every sorted u inside a term.
-    d = {u: interior_terms({u: 1}, P.terms) for u in term_subsets(P.terms, k)}
+    # D[u] = i(e^u)P, the 2-form P(u, x, y), empty when u lies in no term.
+    d = _Contractions(P.terms)
 
     pair_list = list(combinations_with_replacement(touched, 2))
     denom = 3 * (1 << k)
@@ -401,7 +400,7 @@ def iter_projection_blocks(
             full = (0,) + eps
             umask, su = sorted_mask([pairs[j][full[j]] for j in range(k)])
             vmask, sv = sorted_mask([pairs[j][1 - full[j]] for j in range(k)])
-            if not (su and sv and umask in d and vmask in d):
+            if not (su and sv and d[umask] and d[vmask]):
                 continue  # a repeated index, or a contraction that vanishes
             for mm, c in wedge_terms(d[umask], d[vmask]).items():
                 block[mm] = block.get(mm, 0) + (c if su == sv else -c)

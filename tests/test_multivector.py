@@ -18,6 +18,7 @@ from plk import (
 from plk.criteria import from_factors
 from plk.linalg import nullspace
 from plk.multivector import (
+    _Contractions,
     basis_subsets,
     check_dim,
     indices_of,
@@ -53,6 +54,12 @@ def test_mask_rejects_bad_indices():
         mask_of((0, 1))
     with pytest.raises(InputError):
         mask_of((2, 2))
+
+
+@pytest.mark.parametrize("indices", [(True, 2), (1, False), (1.5,), (2, "3"), (Fraction(2),)])
+def test_mask_refuses_non_integer_indices(indices):
+    with pytest.raises(InputError, match="indices must be integers"):
+        mask_of(indices)
 
 
 def test_shuffle_sign_counts_inversions():
@@ -650,3 +657,32 @@ def test_projection_blocks_drop_cancelled_sums():
             assert block == ref, (str(P), pairs)
             cancelled |= bool(touched - set(block))
         assert cancelled, str(P)
+
+
+def _same_terms(a, b):
+    """Equal terms with equal coefficient types (an int is not a Fraction)."""
+    return {m: repr(c) for m, c in a.items()} == {m: repr(c) for m, c in b.items()}
+
+
+def test_contraction_memo_matches_the_interior_kernel():
+    empty = 0
+    for trial in range(36):
+        rng = seeded(122, trial)
+        n = rng.randint(3, 7)
+        s = rng.randint(1, n)
+        kind = ("int", "fraction", "sparse")[trial % 3]
+        P = rand_mv(rng, n, s, bound=3, max_terms=2 if kind == "sparse" else None,
+                    rational=kind == "fraction")
+        table = _Contractions(P.terms)
+        for r in range(s + 1):
+            phi = rand_mv(rng, n, r, bound=3, dual=True, rational=trial % 2 == 1)
+            assert _same_terms(table.interior(phi.terms), interior_terms(phi.terms, P.terms))
+        for u in table:  # an entry is empty exactly when u lies in no term
+            assert (not table[u]) == all(u & m != u for m in P.terms), (str(P), u)
+            empty += not table[u]
+    assert empty  # phi reached subsets that lie in no term of P
+    for phi, P in _cancelling_cases():
+        if phi.dual:  # i(phi)P cancels wholly or in part
+            out = _Contractions(P.terms).interior(phi.terms)
+            assert all(out.values()), (str(phi), str(P))
+            assert _same_terms(out, interior_terms(phi.terms, P.terms)), (str(phi), str(P))

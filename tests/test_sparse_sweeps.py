@@ -11,6 +11,7 @@ covector point set of the contraction criterion's full grid.
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -165,12 +166,13 @@ LINEAR_SHIFT = {"classical": (1, False), "dual": (1, True),
 
 
 def reference_linear(P, criterion):
-    """(verdict, equations_checked, witness quantifier) from a sweep over
-    every basis covector, adding C(n, output grade) per zero quantifier."""
+    """(verdict, equations_checked, witness quantifier, witness component
+    and value) from a sweep over every basis covector, adding C(n, output
+    grade) per zero quantifier."""
     shift, dual = LINEAR_SHIFT[criterion]
     n, s = P.dim, P.grade
     if s < shift:
-        return True, 0, None
+        return True, 0, None, None
     quant = s + shift if dual else s - shift
     out_grade = s - shift if dual else s + shift
     per = len(list(combinations(range(n), out_grade)))
@@ -179,17 +181,18 @@ def reference_linear(P, criterion):
         q = Multivector.basis(n, S, dual=True)
         out = interior(contract_into(P, q), P) if dual else wedge(interior(q, P), P)
         if out.terms:
-            comp = out.items()[0][0]
-            return False, checked + position(comp, n), (S,)
+            comp, value = out.items()[0]
+            return False, checked + position(comp, n), (S,), (comp, value)
         checked += per
-    return True, checked, None
+    return True, checked, None, None
 
 
 def reference_optimal(P):
     """The same for the optimal test, over every pair tuple of 1..n."""
     n, k = P.dim, P.grade - 2
+    projection = project_tensor_square(P)
     blocks = {}
-    for pairs, comp in project_tensor_square(P):
+    for pairs, comp in projection:
         blocks.setdefault(pairs, []).append(comp)
     pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
     per = len(list(combinations(range(n), 4)))
@@ -197,22 +200,39 @@ def reference_optimal(P):
     for pairs in combinations_with_replacement(pair_list, k):
         if pairs in blocks:
             comp = min(blocks[pairs])
-            return False, checked + position(comp, n), (pairs, comp)
+            return False, checked + position(comp, n), (pairs, comp), (comp, projection[pairs, comp])
         checked += per
-    return True, checked, None
+    return True, checked, None, None
 
 
-@pytest.mark.parametrize("trial", range(60))
-def test_equations_checked_matches_a_full_reference_sweep(trial):
+def reference_input(trial):
+    """Seeded inputs: int ones with 1 to 12 terms at n <= 7 (trials below
+    60), then at n <= 8 Fraction-scaled ones and dense decomposable ones,
+    the last eight of them Fraction-scaled too."""
     rng = seeded(10, trial)
-    n = rng.randint(4, 7)
-    s = rng.randint(2, n - 2)
-    P = rand_mv(rng, n, s, bound=3, max_terms=rng.choice((1, 2, 4, 12)))
+    if trial < 60:
+        n = rng.randint(4, 7)
+        s = rng.randint(2, n - 2)
+        return rand_mv(rng, n, s, bound=3, max_terms=rng.choice((1, 2, 4, 12)))
+    n = rng.randint(4, 8)
+    s = rng.randint(2, min(n - 2, 4))
+    scale = Fraction(rng.randint(1, 5), rng.randint(6, 9))
+    if trial < 80:
+        return rand_mv(rng, n, s, bound=3, max_terms=rng.choice((3, 8, 30))) * scale
+    return random_simple(rng, n, s, bound=2) * (scale if trial >= 88 else 1)
+
+
+@pytest.mark.parametrize("trial", range(96))
+def test_equations_checked_matches_a_full_reference_sweep(trial):
+    # verdict, equations_checked and the whole witness: its quantifier,
+    # component and value
+    P = reference_input(trial)
     for criterion in SWEPT:
         rep = CRITERIA[criterion](P)
         ref = reference_optimal(P) if criterion == "optimal" else reference_linear(P, criterion)
-        equation = rep.witness.equation if rep.witness else None
-        assert (rep.verdict, rep.equations_checked, equation) == ref, criterion
+        w = rep.witness
+        got = (w.equation, (w.component, w.value)) if w else (None, None)
+        assert (rep.verdict, rep.equations_checked, *got) == ref, (criterion, str(P))
 
 
 def grid(n):
