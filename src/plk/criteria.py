@@ -341,12 +341,10 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
     coefficient; pair tuples outside the indices P touches are zero, counted by
     rank, not visited.  ``equations_checked`` counts the coefficients up to and
     including the witness, or the family, multichoose(pairs, s-2) * C(n,4).
+    Below grade 2 there is no such component: the test passes with 0.
     """
     require_vector(P, "P")
-    s = P.grade
-    if s < 2:
-        raise InputError(f"optimal component test needs grade >= 2, got {s}")
-    n, k = P.dim, s - 2
+    n, k = P.dim, P.grade - 2
     per_block = comb0(n, 4)
     # Pair (a <= b) is the 2-subset {a, b+1} of 1..n+1, in the same lex order;
     # the t-th pair of a tuple at its position + t makes it a k-subset of 1..slots.
@@ -365,7 +363,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
                 text=f"pairs=({pair_txt}), skew over e_{{{_fmt(comp)}}}: coefficient = {val}",
             )
             return CriterionReport("optimal", False, checked, witness)
-    return CriterionReport("optimal", True, comb(slots, k) * per_block)
+    return CriterionReport("optimal", True, comb0(slots, k) * per_block)
 
 
 # -- rank oracle, factorization, families -----------------------------------------
@@ -429,13 +427,14 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     """Recover grade-1 factors of a decomposable multivector.
 
     Returns vectors whose wedge equals P exactly (the first one carries the
-    overall coefficient); None when P is not decomposable or has grade 0.
-    The zero multivector yields grade-1 zero factors.
+    overall coefficient), or None when P is not decomposable.  The zero
+    multivector yields grade-1 zero factors; grade 0 has no vector factors
+    and raises InputError.
     """
     require_vector(P, "P")
     s = P.grade
     if s == 0:
-        return None
+        raise InputError("a grade-0 multivector has no vector factors")
     if P.is_zero():
         return [Multivector.zero(P.dim, 1) for _ in range(s)]
     space = support_space(P)
@@ -600,14 +599,7 @@ def run_criterion(P: Multivector, name: str, **contraction_opts) -> CriterionRep
 
 
 def run_all_criteria(P: Multivector, **contraction_opts) -> list[CriterionReport]:
-    """All applicable criterion reports for P, oracle last; the options
-    (k, mode, trials, seed, bound) reach the contraction criterion only.
-
-    The optimal component test is omitted for grades below 2 (it rejects
-    them); every other criterion treats degenerate grades as vacuous passes.
-    """
-    return [
-        run_criterion(P, name, **contraction_opts)
-        for name in CRITERIA
-        if name != "optimal" or P.grade >= 2
-    ]
+    """The report of every criterion of ``CRITERIA`` for P, oracle last; the
+    options (k, mode, trials, seed, bound) reach the contraction criterion
+    only.  Grades 0 and 1 pass every criterion."""
+    return [run_criterion(P, name, **contraction_opts) for name in CRITERIA]

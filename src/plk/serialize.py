@@ -22,7 +22,7 @@ from typing import Any, Iterator
 
 from .multivector import Coeff, InputError, Multivector, _is_int
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _parse_coeff(raw: Any, where: str) -> Coeff:
@@ -31,7 +31,7 @@ def _parse_coeff(raw: Any, where: str) -> Coeff:
     if isinstance(raw, int):
         return raw
     if isinstance(raw, str):
-        if not _COEFF_RE.match(raw):
+        if not _COEFF_RE.fullmatch(raw):
             raise InputError(f"{where}: malformed coefficient {raw!r}")
         try:
             return Fraction(raw)

@@ -373,14 +373,13 @@ def iter_projection_blocks(
     sorting it.  Pair tuples come in lex order, which fixes the first witness,
     and only inside the indices P touches: the other blocks are zero.  When P
     touches at most s+1 indices it lies in Lambda^s of a space of that
-    dimension, so it is decomposable and nothing is yielded.
+    dimension, so it is decomposable and nothing is yielded; nor below grade
+    2, where the shape has no component.
     """
     require_vector(P, "projection target")
     s = P.grade
-    if s < 2:
-        raise InputError(f"projection needs grade >= 2, got {s}")
     touched = touched_indices(P.terms)
-    if len(touched) <= s + 1:
+    if s < 2 or len(touched) <= s + 1:
         return
     k = s - 2
     if k == 0:
@@ -414,7 +413,7 @@ def project_tensor_square(
     column heights (grade+2, grade-2), indexed by (pair tuple, 4-subset).
 
     The map is empty exactly when the component vanishes, i.e. exactly when
-    the vector is decomposable (for grade >= 2).
+    the vector is decomposable; below grade 2 it is always empty.
     """
     out: dict[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], Fraction] = {}
     for pairs, block, denom in iter_projection_blocks(P):

@@ -8,9 +8,11 @@ import pytest
 
 from plk import Multivector, from_factors, run_all_criteria, wedge
 from plk.cli import main
+from plk.criteria import COUNTED, CRITERIA, equation_count, run_criterion
 from plk.multivector import InputError
 from plk.randgen import random_multivector, random_nonsimple, random_simple, random_vector
 from plk.serialize import dump, dumps, emit_multivector, loads
+from plk.young import project_tensor_square
 
 from util import seeded
 
@@ -411,12 +413,49 @@ def test_family_bad_pair_sum(tmp_path, capsys):
 # -- flag validation and module entry point -----------------------------------------
 
 
-def test_check_grade_one_skips_component_test(tmp_path, capsys):
+def test_check_grade_one_runs_component_test(tmp_path, capsys):
     path = write_mv(tmp_path, Multivector.basis(5, (2,)))
     code, out, _ = run_cli(capsys, "check", path)
     assert code == 0
-    assert "optimal" not in out  # no (s+2, s-2) component below grade 2
+    # no (s+2, s-2) component below grade 2, so the test passes with 0 equations
+    assert "\noptimal            true   equations=0\n" in out
     assert out.endswith("result: simple\n")
+
+
+DEGENERATE = {
+    "zero-0": lambda n: Multivector.zero(n, 0),
+    "zero-1": lambda n: Multivector.zero(n, 1),
+    "scalar": lambda n: Multivector.scalar(n, 3),
+    "vector": lambda n: random_vector(seeded(23, n), n, 5),
+}
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degenerate_grades_pass_every_criterion(n, kind, tmp_path, capsys):
+    # Grades 0 and 1 are decomposable: every criterion passes, the counted
+    # ones with the equation count of ``plk count``, and the (s+2, s-2)
+    # projection is empty.
+    P = DEGENERATE[kind](n)
+    s = P.grade
+    for mode in ("symbolic", "randomized"):
+        for name in CRITERIA:
+            rep = run_criterion(P, name, mode=mode)
+            assert rep.verdict, (name, mode)
+            if name in COUNTED:
+                assert rep.equations_checked == equation_count(n, s, name), name
+    assert project_tensor_square(P) == {}
+
+    path = write_mv(tmp_path, P)
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    assert len(out.splitlines()) == len(CRITERIA) + 1 == 8
+    assert run_cli(capsys, "check", "--criterion", "optimal", path)[0] == 0
+    code, _, err = run_cli(capsys, "factor", path)
+    if s == 0:
+        assert code == 2 and "no vector factors" in err
+    else:
+        assert code == 0
 
 
 def test_check_disagreement_exits_three(tmp_path, capsys, monkeypatch):

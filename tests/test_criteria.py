@@ -318,9 +318,11 @@ def test_optimal_grade_two_reduces_to_wedge_square():
         assert optimal_component_test(p).verdict == wedge(p, p).is_zero()
 
 
-def test_optimal_rejects_low_grade():
-    with pytest.raises(InputError):
-        optimal_component_test(e(4, 1))
+def test_optimal_passes_low_grade():
+    # Below grade 2 there is no (s+2, s-2) component: a pass with 0 equations.
+    for p in (e(4, 1), Multivector.scalar(4, 3)):
+        rep = optimal_component_test(p)
+        assert rep.verdict and rep.equations_checked == 0
 
 
 # -- oracle, factorization ----------------------------------------------------------
@@ -372,7 +374,8 @@ def test_factorize_round_trip():
 def test_factorize_zero_and_scalar():
     z = factorize(Multivector.zero(4, 2))
     assert from_factors(z).is_zero()
-    assert factorize(Multivector.scalar(4, 5)) is None
+    with pytest.raises(InputError, match="no vector factors"):
+        factorize(Multivector.scalar(4, 5))
 
 
 def test_from_factors_examples():

@@ -416,6 +416,7 @@ CHECK_STDOUT = {'dense-6-3': (1,
              'improved           true   equations=0\n'
              'dual-improved      true   equations=0\n'
              'contraction(k=2)   true   equations=0\n'
+             'optimal            true   equations=0\n'
              'oracle             true   equations=0\n'
              'result: simple\n'),
  'grade-1': (0,
@@ -424,6 +425,7 @@ CHECK_STDOUT = {'dense-6-3': (1,
              'improved           true   equations=0\n'
              'dual-improved      true   equations=0\n'
              'contraction(k=2)   true   equations=0\n'
+             'optimal            true   equations=0\n'
              'oracle             true   equations=1\n'
              'result: simple\n'),
  'grade-4': (0,

@@ -1,8 +1,8 @@
 """Metamorphic tests: decomposability is invariant under signed index
-permutations and nonzero scalings, so every verdict must be too."""
+permutations, nonzero scalings and GL(n, Z), so every verdict must be too."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from plk import Multivector, factorize, kernel_dimension, run_all_criteria, support_space
 from plk.multivector import indices_of, mask_of
@@ -52,3 +52,61 @@ def test_signed_permutations_and_scalings_keep_every_verdict():
                 factors = [f.terms for f in factorize(q)]
                 assert sparse_rank(moved) == sparse_rank(factors) == s, str(p)
                 assert sparse_rank(moved + factors) == s, (str(p), str(q))
+
+
+def unimodular(rng, n, steps=8):
+    """A seeded integer matrix of determinant +-1: a product of elementary
+    matrices (add c times one row to another), then perhaps a swap of two
+    rows with one of them negated or not."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    if rng.getrandbits(1):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        g[i], g[j] = g[j], [sign * a for a in g[i]]
+    return g
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for sigma in permutations(range(len(a))):
+        sign = (-1) ** sum(x > y for x, y in combinations(sigma, 2))
+        term = sign
+        for row, col in enumerate(sigma):
+            term *= a[row][col]
+        total += term
+    return total
+
+
+def act_gl(g, p):
+    """g(P) on Lambda^s: e_J goes to the sum over I of det(g[I, J]) e_I, the
+    s x s minor of g with rows I and columns J (1-based index sets)."""
+    terms = {}
+    for I in combinations(range(1, p.dim + 1), p.grade):
+        c = sum(
+            leibniz_det([[g[i - 1][j - 1] for j in indices_of(m)] for i in I]) * v
+            for m, v in p.terms.items()
+        )
+        if c:
+            terms[mask_of(I)] = c
+    return Multivector(p.dim, p.grade, terms)
+
+
+def test_unimodular_maps_keep_every_verdict_and_move_the_factors():
+    rng = seeded(902)
+    for n, s in [(3, 2), (4, 2), (5, 2), (5, 3), (6, 3), (6, 4)] * 3:
+        for p in (random_simple(rng, n, s, 3), rand_mv(rng, n, s, bound=4, max_terms=4)):
+            g = unimodular(rng, n)
+            q = act_gl(g, p)
+            before = verdicts(p)
+            assert verdicts(q) == before, (g, str(p))
+            assert kernel_dimension(q) == kernel_dimension(p), (g, str(p))
+            if all(verdict for _, verdict in before):
+                moved = [act_gl(g, v).terms for v in support_space(p).basis]
+                factors = [f.terms for f in factorize(q)]
+                assert sparse_rank(moved) == sparse_rank(factors) == s, (g, str(p))
+                assert sparse_rank(moved + factors) == s, (g, str(p))

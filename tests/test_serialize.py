@@ -76,6 +76,15 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+# A trailing newline, non-ASCII digits, a space and a digit separator are all
+# malformed: a coefficient string is ASCII digits and nothing else.
+@pytest.mark.parametrize("coeff", ["5\n", "\u0663", "1/\u0663", " 5", "1_000"])
+def test_malformed_coefficient_strings(coeff):
+    obj = {"dim": 4, "grade": 2, "terms": [{"indices": [1, 2], "coeff": coeff}]}
+    with pytest.raises(InputError, match="malformed coefficient"):
+        parse_multivector(obj)
+
+
 def test_error_names_offending_term():
     with pytest.raises(InputError) as exc:
         loads('{"dim": 4, "grade": 2, "terms": [{"indices": [1, 2], "coeff": 1}, {"indices": [1, 9], "coeff": 1}]}')

@@ -370,6 +370,6 @@ def test_projection_family_spans_dim_of_its_component(n, s):
     assert sparse_rank(rows) == dim
 
 
-def test_projection_rejects_low_grade():
-    with pytest.raises(InputError):
-        project_tensor_square(Multivector.basis(4, (1,)))
+def test_projection_empty_below_grade_two():
+    assert project_tensor_square(Multivector.basis(4, (1,))) == {}
+    assert project_tensor_square(Multivector.scalar(4, 3)) == {}
