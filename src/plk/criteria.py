@@ -41,6 +41,7 @@ from .multivector import (
     Multivector,
     _Contractions,
     _is_int,
+    _nonzero,
     check_dim,
     contract_into,
     indices_of,
@@ -87,12 +88,11 @@ class CriterionReport:
     * the four Pluecker-type criteria: scalar equations, one per quantified
       basis covector and output component; a pass counts all of them
       (``equation_count``), a failure those up to and including the witness;
-    * the contraction criterion: the equations of its inner checks, each
-      passing point set (exact mode, improved equations) or trial
-      (randomized mode, classical equations) counting the inner criterion's
-      full count; a pass counts every set or trial, a failure those before
-      the witness plus the witness check's equations; one inner check of P
-      when k = s;
+    * the contraction criterion: the improved equations of its inner
+      checks, each passing point set (exact mode) or trial (randomized mode)
+      counting C(n,k-2)*C(n,k+2); a pass counts every set or trial, a
+      failure those before the witness plus the witness check's equations;
+      the improved sweep of P when k = s;
     * the optimal test: coefficients of the projected family enumerated,
       up to and including the witness;
     * the oracle: the C(n, s-1) generators of the support space.
@@ -114,6 +114,14 @@ def _fmt(idx: Sequence[int]) -> str:
     return ",".join(map(str, idx))
 
 
+def _split(terms: Mapping[int, Coeff], bit: int) -> tuple[dict, dict]:
+    """The terms whose index set holds ``bit``, and the others."""
+    return (
+        {m: c for m, c in terms.items() if m & bit},
+        {m: c for m, c in terms.items() if not m & bit},
+    )
+
+
 def _first_component(terms: Mapping[int, Coeff]) -> tuple[tuple[int, ...], Coeff]:
     mask = min(terms, key=indices_of)
     return indices_of(mask), terms[mask]
@@ -133,7 +141,14 @@ _LINEAR = {
 
 
 def _pluecker(P: Multivector, name: str) -> CriterionReport:
-    """Shared sweep: quantify over basis covectors of one grade, lex order.
+    """The linear criterion ``name`` on a vector P: the sweep on its terms."""
+    require_vector(P, "P")
+    return _sweep(P.dim, P.grade, P.terms, name)
+
+
+def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionReport:
+    """Shared sweep over the terms of a grade-s vector P in dimension n:
+    quantify over basis covectors of one grade, lex order.
 
     Covectors outside the indices P touches give zero equations (i(e^S)P needs
     S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
@@ -143,25 +158,37 @@ def _pluecker(P: Multivector, name: str) -> CriterionReport:
     contracts into e^Q the terms of P at the s-subsets of Q, the only ones
     i_P e^Q reads; that gives a d-covector, whose interior product with P is
     a sum of the table's entries at d-subsets of Q.
+
+    A witness is the lex-first nonzero component of its equation.  In a
+    primal equation, the components that hold P's lowest index t come first;
+    they come from the pairs of terms of which exactly one holds t (the
+    "head" of P or of the entry; the rest is the "tail").  So those pairs are
+    summed first, and the tail ^ tail pairs only when that sum is 0.
     """
-    require_vector(P, "P")
     shift, dual = _LINEAR[name]
-    n, s = P.dim, P.grade
     if s < shift:
         return CriterionReport(name, True, 0)
-    terms = P.terms
     table = _Contractions(terms)
     quant_grade, out_grade = (s + shift, s - shift) if dual else (s - shift, s + shift)
     per_equation = comb0(n, out_grade)
     symbol = "Phi" if name == "classical" else "Psi"
     bits = [1 << (i - 1) for i in touched_indices(terms)]
+    low = bits[0] if bits else 0
+    head, tail = _split(terms, low)
     for sub in combinations(bits, quant_grade):
         Q = sum(sub)
         if dual:
             inside = {m: terms[m] for m in map(sum, combinations(sub, s)) if m in terms}
             out = table.interior(interior_terms(inside, {Q: 1}))
-        else:
-            out = wedge_terms(table[Q], terms)
+        elif Q:
+            a_head, a_tail = _split(table[Q], low)
+            out = wedge_terms(a_head, tail)
+            for m, c in wedge_terms(a_tail, head).items():
+                out[m] = out.get(m, 0) + c
+            out = _nonzero(out) or wedge_terms(a_tail, tail)
+        else:  # P ^ P, where tail ^ head = (-1)^s head ^ tail
+            out = {m: 2 * c for m, c in wedge_terms(head, tail).items()} if s % 2 == 0 else {}
+            out = out or wedge_terms(tail, tail)
         if out:
             S = indices_of(Q)
             comp, val = _first_component(out)
@@ -253,8 +280,7 @@ def contraction_criterion(
     are quadratic in each a_i, so basis covectors alone do not suffice.
 
     The exact mode (named "symbolic") evaluates F at the m-subsets of the
-    grid {e^i} U {e^i + e^j} and checks each contracted k-vector with the
-    improved relations.  This decides F == 0: the grid is unisolvent for
+    grid {e^i} U {e^i + e^j}.  This decides F == 0: the grid is unisolvent for
     quadratic forms (q(e^i) = q_ii, q(e^i + e^j) = q_ii + q_jj + q_ij), so
     its m-fold product is unisolvent for forms quadratic in each a_i; F is
     symmetric in the a_i up to a sign that the quadratic relations absorb,
@@ -266,18 +292,19 @@ def contraction_criterion(
     lies inside.  When P touches at most s+1 indices it is decomposable (it
     lies in Lambda^s of that many dimensions) and no set is visited.  A
     witness names its set by the lex position t among all m-sets of the full
-    grid, and ``equations_checked`` counts per = C(n,k-2)*C(n,k+2) improved
-    equations for each set before it, or for all C(n + C(n,2), m) on a pass.
+    grid.
 
     Randomized mode evaluates at ``trials`` seeded integer tuples drawn from
-    [-bound, bound] and checks each with the classical relations: a nonzero
-    evaluation certifies failure, while an all-zero run yields a pass
-    flagged as probabilistic; it counts C(n,k-1)*C(n,k+1) classical
-    equations per trial.  With k = s both modes run one check of P.
+    [-bound, bound]: a nonzero evaluation certifies failure, while an
+    all-zero run yields a pass flagged as probabilistic.
 
-    Both modes run one loop over sets of m sparse covectors (their terms),
-    and the witness's t and coordinate tuples ``alphas`` are derived from
-    the failing set's terms.
+    Both modes loop over sets of m sparse covectors, read i(phi)P through
+    one lazy table of P's basis contractions, and check it with the improved
+    relations, which decide decomposability for every k >= 2 (with k = s,
+    the improved sweep of P).  ``equations_checked`` counts C(n,k-2)*C(n,k+2)
+    per set or trial before the witness, plus the witness check's own, or
+    for all C(n + C(n,2), m) sets or all trials on a pass.  The witness's t
+    and coordinate tuples ``alphas`` come from the failing set's terms.
     """
     require_vector(P, "P")
     if not _is_int(k) or k < 2:
@@ -301,21 +328,21 @@ def contraction_criterion(
     m = s - k
     exact = mode == "symbolic"
     if exact:
-        inner, label, report_seed = "improved", "point", None
+        label, report_seed = "point", None
         touched = touched_indices(P.terms)
         size = n + comb(n, 2)
         point_sets = combinations(_grid_points(touched if len(touched) > s + 1 else ()), m)
         total = comb(size, m)
     else:
-        inner, label, report_seed = "classical", "trial", seed
+        label, report_seed = "trial", seed
         point_sets, total = _random_points(n, m, trials, seed, bound), trials
     if m == 0:
-        return replace(_pluecker(P, inner), criterion=name, seed=report_seed)
-    shift = _LINEAR[inner][0]
-    per = comb0(n, k - shift) * comb0(n, k + shift)
+        return replace(_sweep(n, s, P.terms, "improved"), criterion=name, seed=report_seed)
+    table = _Contractions(P.terms)
+    per = comb0(n, k - 2) * comb0(n, k + 2)
     for i, points in enumerate(point_sets):
         phi_terms = reduce(wedge_terms, points, {0: 1})
-        rep = _pluecker(Multivector(n, k, interior_terms(phi_terms, P.terms)), inner)
+        rep = _sweep(n, k, table.interior(phi_terms), "improved")
         if not rep.verdict:
             t = subset_rank([_grid_position(a, n) for a in points], size) - 1 if exact else i
             alphas = [tuple(a.get(1 << x, 0) for x in range(n)) for a in points]

@@ -5,10 +5,11 @@ Format (UTF-8 JSON object):
     {"dim": n, "grade": k, "dual": false,
      "terms": [{"indices": [i1, ..., ik], "coeff": "p/q"}, ...]}
 
-Indices are 1-based and strictly increasing; a coefficient is a JSON integer
-or a string holding an optionally signed integer or "p/q".  Duplicate index
-sets, floats, zero denominators, and out-of-range indices are input errors
-that name the offending term; a file that is not UTF-8 JSON is one too.
+The grade is at most the dim.  Indices are 1-based and strictly increasing;
+a coefficient is a JSON integer or a string holding an optionally signed
+integer or "p/q".  Duplicate index sets, floats, zero denominators, and
+out-of-range indices are input errors that name the offending term; a file
+that is not UTF-8 JSON is one too.
 Emission normalizes: terms sorted by index tuple, coefficients in lowest
 terms, integers emitted as JSON numbers.
 """
@@ -68,7 +69,10 @@ def parse_multivector(obj: Any) -> Multivector:
     raw_terms = obj.get("terms", [])
     if not isinstance(raw_terms, list):
         raise InputError("field 'terms' must be an array")
-    return Multivector.from_terms(obj["dim"], obj["grade"], _term_pairs(raw_terms), dual)
+    m = Multivector.from_terms(obj["dim"], obj["grade"], _term_pairs(raw_terms), dual)
+    if m.grade > m.dim:
+        raise InputError(f"field 'grade' ({m.grade}) exceeds field 'dim' ({m.dim})")
+    return m
 
 
 def emit_multivector(m: Multivector) -> dict:

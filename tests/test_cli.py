@@ -458,6 +458,30 @@ def test_degenerate_grades_pass_every_criterion(n, kind, tmp_path, capsys):
         assert code == 0
 
 
+def test_probabilistic_miss_is_not_a_disagreement(tmp_path, capsys):
+    # One trial at bound 1 misses this non-decomposable input: a randomized
+    # pass is probabilistic, so it is not an internal error.
+    P = Multivector.from_terms(6, 3, [((1, 3, 4), 1), ((1, 3, 6), -1), ((1, 5, 6), -2)])
+    path = write_mv(tmp_path, P)
+    argv = ("check", "--mode", "randomized", "--trials", "1", "--bound", "1", "--seed", "32")
+    code, out, err = run_cli(capsys, *argv, path)
+    assert "contraction(k=2)   true " in out and "[probabilistic, seed=32]" in out
+    assert (code, out.splitlines()[-1], err) == (1, "result: not-simple", "")
+    code, out, err = run_cli(capsys, *argv, "--json", path)
+    payload = json.loads(out)
+    assert (code, payload["simple"], payload["agreement"], err) == (1, False, True, "")
+
+
+@pytest.mark.parametrize("command", ("check", "factor", "family"))
+def test_grade_above_dim_file_exits_two(command, tmp_path, capsys):
+    obj = {"dim": 4, "grade": 7, "terms": []}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([obj] if command == "family" else obj))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert "field 'grade' (7) exceeds field 'dim' (4)" in err
+
+
 def test_check_disagreement_exits_three(tmp_path, capsys, monkeypatch):
     # force an (impossible) disagreement to pin the exit-code contract
     from plk.criteria import CriterionReport

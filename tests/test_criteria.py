@@ -292,6 +292,30 @@ def test_contraction_exact_matches_oracle_beyond_k2():
                         assert rep.verdict == is_simple_oracle(p), (n, s, k, str(p))
 
 
+@pytest.mark.parametrize("mode", ("symbolic", "randomized"))
+@pytest.mark.parametrize("which_k", ("2", "3", "s"))
+@pytest.mark.parametrize("trial", range(4))
+def test_contraction_inner_check_is_improved_in_both_modes(trial, which_k, mode):
+    # Each contracted k-vector is checked with the improved relations: a pass
+    # counts C(n,k-2)*C(n,k+2) equations per point set or trial (one check of
+    # P when k = s), and a witness names a (k-2)-covector.
+    rng = seeded(516, trial)
+    n = rng.randint(5, 7)
+    s = rng.randint(3, min(n - 2, 4))
+    k = s if which_k == "s" else int(which_k)
+    opts = dict(trials=5, seed=trial, bound=3)
+    if k == s:
+        sets = 1
+    else:
+        sets = opts["trials"] if mode == "randomized" else comb(n + comb(n, 2), s - k)
+    rep = contraction_criterion(random_simple(rng, n, s, 3), k, mode, **opts)
+    assert rep.verdict
+    assert rep.equations_checked == sets * equation_count(n, k, "improved")
+    rep = contraction_criterion(random_nonsimple(rng, n, s, 3), k, mode, **opts)
+    assert not rep.verdict
+    assert len(rep.witness.equation[-1]) == k - 2
+
+
 # -- optimal component test ---------------------------------------------------------
 
 

@@ -294,30 +294,30 @@ COUNT_STDOUT = {(1, 0): 'n=1 s=0: classical=0 dual=0 improved=0 dual-improved=0 
 COUNT_JSON = '{\n  "dim": 9,\n  "grade": 4,\n  "counts": {\n    "classical": 10584,\n    "dual": 10584,\n    "improved": 3024,\n    "dual-improved": 3024,\n    "optimal": 2700\n  }\n}\n'
 
 RANDOMIZED_STDOUT = {('dense-6-3', 3): (1,
-                    'contraction(k=3)   false  equations=7  witness: Phi=e^{1,2} -> '
-                    'component e_{1,3,4,5} = -12\n'
+                    'contraction(k=3)   false  equations=1  witness: Psi=e^{1} -> component '
+                    'e_{1,2,3,4,5} = 24\n'
                     'result: not-simple\n'),
  ('dense-7-4', 2): (1,
-                    'contraction(k=2)   false  equations=16  witness: trial 0, alphas=[(1, '
-                    '2, -3, 1, -3, -2, 0), (-4, 3, 0, 4, -3, -4, 1)]: Phi=e^{1} -> '
-                    'component e_{2,3,4} = -1833\n'
+                    'contraction(k=2)   false  equations=1  witness: trial 0, alphas=[(1, 2, -3, '
+                    '1, -3, -2, 0), (-4, 3, 0, 4, -3, -4, 1)]: Psi=e^{} -> component e_{1,2,3,4} = '
+                    '-3666\n'
                     'result: not-simple\n'),
  ('simple-6-3', 2): (0,
-                     'contraction(k=2)   true   equations=720  [probabilistic, seed=11]\n'
+                     'contraction(k=2)   true   equations=90  [probabilistic, seed=11]\n'
                      'result: simple\n'),
- ('simple-6-3', 3): (0, 'contraction(k=3)   true   equations=225\nresult: simple\n'),
+ ('simple-6-3', 3): (0, 'contraction(k=3)   true   equations=36\nresult: simple\n'),
  ('sparse-6-3', 3): (1,
-                     'contraction(k=3)   false  equations=15  witness: Phi=e^{1,2} -> '
-                     'component e_{3,4,5,6} = 1\n'
+                     'contraction(k=3)   false  equations=6  witness: Psi=e^{1} -> component '
+                     'e_{2,3,4,5,6} = 1\n'
                      'result: not-simple\n'),
  ('sparse-7-4', 2): (1,
-                     'contraction(k=2)   false  equations=17  witness: trial 0, '
-                     'alphas=[(1, 2, -3, 1, -3, -2, 0), (-4, 3, 0, 4, -3, -4, 1)]: '
-                     'Phi=e^{1} -> component e_{2,3,5} = -16\n'
+                     'contraction(k=2)   false  equations=2  witness: trial 0, alphas=[(1, 2, -3, '
+                     '1, -3, -2, 0), (-4, 3, 0, 4, -3, -4, 1)]: Psi=e^{} -> component e_{1,2,3,5} '
+                     '= -32\n'
                      'result: not-simple\n'),
  ('sparse-7-4', 4): (1,
-                     'contraction(k=4)   false  equations=15  witness: Phi=e^{1,2,3} -> '
-                     'component e_{1,4,5,6,7} = -1\n'
+                     'contraction(k=4)   false  equations=6  witness: Psi=e^{1,2} -> component '
+                     'e_{1,3,4,5,6,7} = 1\n'
                      'result: not-simple\n')}
 
 EXACT_STDOUT = {('dense-6-3', 2): (1,

@@ -68,6 +68,11 @@ def test_emit_normalizes():
             ' {"indices": [1, 2], "coeff": 2}]}',
             "duplicate index set",
         ),
+        # a grade above the dim is refused after the dim, grade and term checks
+        ('{"dim": 4, "grade": 7, "terms": []}', "field 'grade' (7) exceeds field 'dim' (4)"),
+        ('{"dim": 0, "grade": 7}', "dim must be"),
+        ('{"dim": 4, "grade": -1}', "grade must be"),
+        ('{"dim": 4, "grade": 5, "terms": [{"indices": [1, 2, 3, 4, 5], "coeff": 1}]}', "[1, 4]"),
     ],
 )
 def test_parse_errors(text, fragment):

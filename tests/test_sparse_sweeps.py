@@ -250,9 +250,9 @@ def draws(n, m, trials, seed, bound):
 def reference_contraction(P, k, mode, trials, seed, bound):
     """(verdict, equations_checked, witness equation) of the contraction
     criterion from a scan over every m-set of the full grid (or every trial),
-    adding up the equations of each inner check."""
+    adding up the equations of each inner improved check."""
     n, s = P.dim, P.grade
-    inner = CRITERIA["improved" if mode == "symbolic" else "classical"]
+    inner = CRITERIA["improved"]
     if s == k:
         rep = inner(P)
         return rep.verdict, rep.equations_checked, rep.witness and rep.witness.equation
