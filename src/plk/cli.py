@@ -117,7 +117,7 @@ def cmd_check(args) -> int:
         reports = [criteria.run_criterion(P, args.criterion, **opts)]
 
     # A probabilistic pass may miss; only decided verdicts must agree.
-    verdicts = {rep.verdict for rep in reports if not rep.probabilistic}
+    agreement = len({rep.verdict for rep in reports if not rep.probabilistic}) <= 1
     simple = reports[-1].verdict
     if args.json:
         payload = {
@@ -126,14 +126,14 @@ def cmd_check(args) -> int:
             "grade": P.grade,
             "criteria": [_report_json(r) for r in reports],
             "simple": simple,
-            "agreement": len(verdicts) == 1,
+            "agreement": agreement,
         }
         print(json.dumps(payload, indent=2))
     else:
         for rep in reports:
             print(_report_line(rep))
         print(f"result: {'simple' if simple else 'not-simple'}")
-    if args.criterion == "all" and len(verdicts) != 1:
+    if not agreement:
         print("internal error: criteria disagree", file=sys.stderr)
         return 3
     return 0 if simple else 1

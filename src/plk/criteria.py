@@ -163,7 +163,9 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     primal equation, the components that hold P's lowest index t come first;
     they come from the pairs of terms of which exactly one holds t (the
     "head" of P or of the entry; the rest is the "tail").  So those pairs are
-    summed first, and the tail ^ tail pairs only when that sum is 0.
+    summed first, and the tail ^ tail pairs only when that sum is 0.  With S
+    empty, P ^ P is 0 at s = 1 and 2 head ^ tail at s = 2 (if head ^ tail = 0,
+    tail = a ^ b for head = e_t ^ a, so tail ^ tail = 0).
     """
     shift, dual = _LINEAR[name]
     if s < shift:
@@ -173,8 +175,9 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     per_equation = comb0(n, out_grade)
     symbol = "Phi" if name == "classical" else "Psi"
     bits = [1 << (i - 1) for i in touched_indices(terms)]
-    low = bits[0] if bits else 0
-    head, tail = _split(terms, low)
+    if not dual:
+        low = bits[0] if bits else 0
+        head, tail = _split(terms, low)
     for sub in combinations(bits, quant_grade):
         Q = sum(sub)
         if dual:
@@ -186,9 +189,8 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
             for m, c in wedge_terms(a_tail, head).items():
                 out[m] = out.get(m, 0) + c
             out = _nonzero(out) or wedge_terms(a_tail, tail)
-        else:  # P ^ P, where tail ^ head = (-1)^s head ^ tail
+        else:  # P ^ P: 2 head ^ tail at s = 2, 0 at s = 1
             out = {m: 2 * c for m, c in wedge_terms(head, tail).items()} if s % 2 == 0 else {}
-            out = out or wedge_terms(tail, tail)
         if out:
             S = indices_of(Q)
             comp, val = _first_component(out)

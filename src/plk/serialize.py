@@ -5,11 +5,12 @@ Format (UTF-8 JSON object):
     {"dim": n, "grade": k, "dual": false,
      "terms": [{"indices": [i1, ..., ik], "coeff": "p/q"}, ...]}
 
-The grade is at most the dim.  Indices are 1-based and strictly increasing;
-a coefficient is a JSON integer or a string holding an optionally signed
-integer or "p/q".  Duplicate index sets, floats, zero denominators, and
-out-of-range indices are input errors that name the offending term; a file
-that is not UTF-8 JSON is one too.
+The grade is at most the dim, in a file read or written: a zero of higher
+grade (a wedge of more vectors than the dim) is refused both ways.  Indices
+are 1-based and strictly increasing; a coefficient is a JSON integer or a
+string holding an optionally signed integer or "p/q".  Duplicate index sets,
+floats, zero denominators, and out-of-range indices are input errors that
+name the offending term; a file that is not UTF-8 JSON is one too.
 Emission normalizes: terms sorted by index tuple, coefficients in lowest
 terms, integers emitted as JSON numbers.
 """
@@ -70,6 +71,11 @@ def parse_multivector(obj: Any) -> Multivector:
     if not isinstance(raw_terms, list):
         raise InputError("field 'terms' must be an array")
     m = Multivector.from_terms(obj["dim"], obj["grade"], _term_pairs(raw_terms), dual)
+    return _within_dim(m)
+
+
+def _within_dim(m: Multivector) -> Multivector:
+    """``m``, if its grade is at most its dim: a file holds no other."""
     if m.grade > m.dim:
         raise InputError(f"field 'grade' ({m.grade}) exceeds field 'dim' ({m.dim})")
     return m
@@ -77,6 +83,7 @@ def parse_multivector(obj: Any) -> Multivector:
 
 def emit_multivector(m: Multivector) -> dict:
     """JSON-ready dict for a multivector, in normalized form."""
+    _within_dim(m)
     terms = []
     for idx, c in m.items():
         if isinstance(c, Fraction):

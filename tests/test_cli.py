@@ -470,6 +470,10 @@ def test_probabilistic_miss_is_not_a_disagreement(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv, "--json", path)
     payload = json.loads(out)
     assert (code, payload["simple"], payload["agreement"], err) == (1, False, True, "")
+    # Alone, the probabilistic pass has nothing to disagree with.
+    code, out, err = run_cli(capsys, *argv, "--criterion", "contraction", "--json", path)
+    payload = json.loads(out)
+    assert (code, payload["simple"], payload["agreement"], err) == (0, True, True, "")
 
 
 @pytest.mark.parametrize("command", ("check", "factor", "family"))

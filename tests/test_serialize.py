@@ -99,3 +99,11 @@ def test_error_names_offending_term():
 def test_zero_multivector_round_trip():
     z = Multivector.zero(5, 3)
     assert parse_multivector(emit_multivector(z)) == z
+
+
+def test_grade_above_dim_is_not_written():
+    # A wedge chain may build such a zero; a file holds none, either way.
+    z = Multivector.zero(4, 7)
+    for emit in (emit_multivector, dumps):
+        with pytest.raises(InputError, match=r"field 'grade' \(7\) exceeds field 'dim' \(4\)"):
+            emit(z)
