@@ -25,7 +25,6 @@ from .criteria import (
     contraction_criterion,
     dual_improved_pluecker,
     dual_pluecker,
-    duality_identity_check,
     equation_count,
     factorize,
     from_factors,
@@ -39,10 +38,7 @@ from .criteria import (
 )
 from .young import (
     TwoColumnShape,
-    isotypic_probe,
     project_tensor_square,
-    sn_character,
-    standard_tableaux_count,
     verify_square_decomposition,
     young_dim,
 )

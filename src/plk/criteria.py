@@ -43,11 +43,8 @@ from .multivector import (
     _is_int,
     _nonzero,
     check_dim,
-    contract_into,
     indices_of,
-    interior,
     interior_terms,
-    pairing,
     require_vector,
     subset_rank,
     support_space,
@@ -476,29 +473,6 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     return factors
 
 
-def duality_identity_check(
-    P: Multivector, phi: Multivector, psi: Multivector
-) -> bool:
-    """The sign identity tying the two Pluecker formulations together:
-
-        <P ^ i(phi)P, psi> == (-1)**(s-1) * <i(i_P psi)P, phi>
-
-    Must hold identically with this package's conventions; exercised in the
-    tests as a validation of the interior/contraction sign choices.
-    """
-    require_vector(P, "P")
-    s = P.grade
-    if s < 1:
-        raise InputError("identity needs grade >= 1")
-    if not phi.dual or phi.grade != s - 1:
-        raise InputError(f"phi must be a covector of grade {s - 1}")
-    if not psi.dual or psi.grade != s + 1:
-        raise InputError(f"psi must be a covector of grade {s + 1}")
-    lhs = pairing(psi, wedge(P, interior(phi, P)))
-    rhs = pairing(phi, interior(contract_into(P, psi), P))
-    return lhs == (rhs if (s - 1) % 2 == 0 else -rhs)
-
-
 def equation_count(n: int, s: int, criterion: str) -> int:
     """Number of scalar equations each criterion imposes on a grade-s
     multivector in dimension n.
@@ -622,6 +596,8 @@ COUNTED = (*_LINEAR, "optimal")
 def run_criterion(P: Multivector, name: str, **contraction_opts) -> CriterionReport:
     """The report of one criterion of ``CRITERIA``; the options (k, mode,
     trials, seed, bound) reach the contraction criterion only."""
+    if name not in CRITERIA:
+        raise InputError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
     if name == "contraction":
         return CRITERIA[name](P, **contraction_opts)
     return CRITERIA[name](P)

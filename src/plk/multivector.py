@@ -25,7 +25,8 @@ and ``contract_into`` is the adjoint of wedging on the primal side,
     <contract_into(P, psi), Q> = <psi, P ^ Q>.
 
 These choices keep all structure constants integral and make the duality
-identity checked in :mod:`plk.criteria` hold with sign (-1)**(grade-1).
+identity <P ^ i(phi)P, psi> = (-1)**(grade-1) <i(i_P psi)P, phi> hold;
+``tests/reference.py`` states it and the tests sweep it.
 """
 
 from __future__ import annotations

@@ -1,0 +1,241 @@
+"""Reference code the tests compare the library against.
+
+Nothing in ``plk`` calls these; they check theorems rather than decide
+anything, so they live with the tests:
+
+* symmetric-group characters by the Murnaghan-Nakayama recursion and the
+  character-weighted isotypic probes of P (x) P they drive (the paper's
+  optimality remark: the Y[s,s] component of a nonzero P never vanishes,
+  and the Y[s+2,s-2] component vanishes exactly on decomposable P);
+* the duality identity tying the two Pluecker formulations together,
+  which pins the interior-product sign conventions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import factorial
+from typing import Iterator, Sequence
+
+from plk.multivector import (
+    Coeff,
+    InputError,
+    Multivector,
+    contract_into,
+    interior,
+    pairing,
+    require_vector,
+    sorted_mask,
+    wedge,
+    wedge_terms,
+)
+from plk.young import TwoColumnShape, _as_partition, _hook_product
+
+
+# -- shapes ----------------------------------------------------------------------
+
+
+def standard_tableaux_count(shape) -> int:
+    """Number of standard Young tableaux, by the hook length formula."""
+    part = _as_partition(shape)
+    return factorial(sum(part)) // _hook_product(part)
+
+
+# -- symmetric group characters --------------------------------------------------
+
+
+def partitions(m: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of m, in decreasing lexicographic order."""
+
+    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(m, m, ())
+
+
+def conjugacy_class_size(cls: Sequence[int]) -> int:
+    """Size of the conjugacy class of the given cycle type in S_m."""
+    cls = tuple(cls)
+    m = sum(cls)
+    z = 1
+    for k in set(cls):
+        mult = cls.count(k)
+        z *= k**mult * factorial(mult)
+    return factorial(m) // z
+
+
+@lru_cache(maxsize=None)
+def _mn(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama recursion on the first class part."""
+    if not parts:
+        return 1
+    t = parts[0]
+    r = len(shape)
+    betas = [shape[i] + r - 1 - i for i in range(r)]
+    total = 0
+    beta_set = set(betas)
+    for i, b in enumerate(betas):
+        nb = b - t
+        if nb < 0 or nb in beta_set:
+            continue
+        # strip height parity = rows crossed between removal and landing spot
+        crossed = sum(1 for j, x in enumerate(betas) if j != i and nb < x < b)
+        new_betas = sorted(betas[:i] + [nb] + betas[i + 1:], reverse=True)
+        new_shape = tuple(
+            nbv - (r - 1 - idx) for idx, nbv in enumerate(new_betas)
+        )
+        new_shape = tuple(x for x in new_shape if x > 0)
+        term = _mn(new_shape, parts[1:])
+        total += -term if crossed & 1 else term
+    return total
+
+
+def sn_character(shape, cls) -> int:
+    """Irreducible character of S_m: shape indexes the irreducible, cls the class."""
+    shape = _as_partition(shape)
+    cls = _as_partition(cls)
+    if sum(shape) != sum(cls):
+        raise InputError(
+            f"partitions must have equal size, got {sum(shape)} and {sum(cls)}"
+        )
+    return _mn(shape, cls)
+
+
+# -- isotypic probes of P (x) P --------------------------------------------------
+
+
+def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
+            length += 1
+        cycles.append(length)
+    cycles.sort(reverse=True)
+    return tuple(cycles)
+
+
+@lru_cache(maxsize=None)
+def _signed_perms(s: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple(
+        (perm, sorted_mask([i + 1 for i in perm])[1]) for perm in permutations(range(s))
+    )
+
+
+@lru_cache(maxsize=None)
+def _subset_weights(s: int, part: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """For each s-subset I of the 2s tensor slots, the character-weighted sum
+    over permutations mapping the first block onto I, with both blocks
+    antisymmetrized.  Reduces the central projector to one integer per subset.
+    """
+    m = 2 * s
+    chars = {cls: sn_character(part, cls) for cls in partitions(m)}
+    signed = _signed_perms(s)
+    weights: dict[tuple[int, ...], int] = {}
+    positions = tuple(range(m))
+    for subset in combinations(positions, s):
+        comp = tuple(x for x in positions if x not in subset)
+        total = 0
+        for p1, s1 in signed:
+            first = [subset[p1[i]] for i in range(s)]
+            for p2, s2 in signed:
+                sigma = first + [comp[p2[i]] for i in range(s)]
+                total += s1 * s2 * chars[_cycle_type(sigma)]
+        weights[subset] = total
+    return weights
+
+
+def isotypic_probe(
+    P: Multivector, shape: TwoColumnShape, probes: Sequence[Multivector]
+) -> Fraction:
+    """Evaluate the isotypic projection of P (x) P at a tuple of 2s covectors.
+
+    Applies the central character idempotent of the shape to the 2s-linear
+    form (xi_1, ..., xi_2s) -> <xi_1 ^ ... ^ xi_s, P> <xi_(s+1) ^ ... , P>.
+    A nonzero return certifies that the component of P (x) P in the shape's
+    isotypic subspace is nonzero.
+    """
+    require_vector(P, "probe target")
+    s = P.grade
+    if s < 1:
+        raise InputError("probe target must have grade >= 1")
+    if shape.cells != 2 * s:
+        raise InputError(
+            f"shape has {shape.cells} cells, expected {2 * s} for a grade-{s} vector"
+        )
+    probes = list(probes)
+    if len(probes) != 2 * s:
+        raise InputError(f"need {2 * s} probe covectors, got {len(probes)}")
+    for i, xi in enumerate(probes):
+        if not xi.dual or xi.grade != 1 or xi.dim != P.dim:
+            raise InputError(f"probe {i} must be a grade-1 covector of dim {P.dim}")
+
+    part = shape.partition()
+    weights = _subset_weights(s, part)
+
+    # G[I] = <wedge of probes at positions I, P>, with prefix-shared wedges.
+    prefix: dict[tuple[int, ...], dict[int, Coeff]] = {(): {0: 1}}
+
+    def chain(I: tuple[int, ...]) -> dict[int, Coeff]:
+        cached = prefix.get(I)
+        if cached is None:
+            cached = wedge_terms(chain(I[:-1]), probes[I[-1]].terms)
+            prefix[I] = cached
+        return cached
+
+    g: dict[tuple[int, ...], Coeff] = {}
+    for subset in weights:
+        terms = chain(subset)
+        g[subset] = sum(c * P.terms[m] for m, c in terms.items() if m in P.terms)
+
+    total: Coeff = 0
+    positions = tuple(range(2 * s))
+    for subset, w in weights.items():
+        if not w:
+            continue
+        comp = tuple(x for x in positions if x not in subset)
+        gi = g[subset]
+        if gi:
+            gc = g[comp]
+            if gc:
+                total += w * gi * gc
+    fdim = standard_tableaux_count(part)
+    return Fraction(fdim) * total / factorial(2 * s)
+
+
+# -- duality identity ------------------------------------------------------------
+
+
+def duality_identity_check(
+    P: Multivector, phi: Multivector, psi: Multivector
+) -> bool:
+    """The sign identity tying the two Pluecker formulations together:
+
+        <P ^ i(phi)P, psi> == (-1)**(s-1) * <i(i_P psi)P, phi>
+
+    Must hold identically with this package's conventions; exercised in the
+    tests as a validation of the interior/contraction sign choices.
+    """
+    require_vector(P, "P")
+    s = P.grade
+    if s < 1:
+        raise InputError("identity needs grade >= 1")
+    if not phi.dual or phi.grade != s - 1:
+        raise InputError(f"phi must be a covector of grade {s - 1}")
+    if not psi.dual or psi.grade != s + 1:
+        raise InputError(f"psi must be a covector of grade {s + 1}")
+    lhs = pairing(psi, wedge(P, interior(phi, P)))
+    rhs = pairing(phi, interior(contract_into(P, psi), P))
+    return lhs == (rhs if (s - 1) % 2 == 0 else -rhs)

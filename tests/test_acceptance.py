@@ -19,13 +19,11 @@ from plk import (
     contraction_criterion,
     dual_improved_pluecker,
     dual_pluecker,
-    duality_identity_check,
     equation_count,
     factorize,
     from_factors,
     improved_pluecker,
     is_simple_oracle,
-    isotypic_probe,
     kernel_dimension,
     optimal_component_test,
     support_space,
@@ -41,6 +39,7 @@ from plk.randgen import (
     random_vector,
 )
 
+from reference import duality_identity_check, isotypic_probe
 from util import rand_mv, seeded
 
 MAIN_PAIRS = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)]

@@ -16,7 +16,6 @@ from plk import (
     contraction_criterion,
     dual_improved_pluecker,
     dual_pluecker,
-    duality_identity_check,
     equation_count,
     factorize,
     from_factors,
@@ -31,16 +30,16 @@ from plk import (
     three_plane_check,
     wedge,
 )
-from plk.criteria import CRITERIA
+from plk.criteria import CRITERIA, run_criterion
 from plk.multivector import basis_subsets
 from plk.randgen import random_nonsimple, random_simple
 from plk.young import (
     TwoColumnShape,
-    isotypic_probe,
     iter_projection_blocks,
     verify_square_decomposition,
 )
 
+from reference import duality_identity_check, isotypic_probe
 from util import rand_mv, seeded
 
 
@@ -508,6 +507,14 @@ def test_equation_count_validates():
         equation_count(4, 5, "classical")
     with pytest.raises(InputError):
         equation_count(4, 2, "quantum")
+
+
+def test_run_criterion_refuses_an_unknown_name():
+    # the same refusal as equation_count's, naming the criteria it knows
+    with pytest.raises(InputError) as exc:
+        run_criterion(e(4, 1, 2), "quantum")
+    assert "'quantum'" in str(exc.value)
+    assert all(name in str(exc.value) for name in CRITERIA)
 
 
 @pytest.mark.parametrize("n", (0, 65))

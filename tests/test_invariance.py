@@ -1,12 +1,20 @@
 """Metamorphic tests: decomposability is invariant under signed index
-permutations, nonzero scalings and GL(n, Z), so every verdict must be too."""
+permutations, nonzero scalings, GL(n, Z) and the Hodge complement, so every
+verdict must be too."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from plk import Multivector, factorize, kernel_dimension, run_all_criteria, support_space
+from plk import (
+    Multivector,
+    factorize,
+    is_simple_oracle,
+    kernel_dimension,
+    run_all_criteria,
+    support_space,
+)
 from plk.multivector import indices_of, mask_of
-from plk.randgen import random_simple
+from plk.randgen import random_nonsimple, random_simple
 
 from util import rand_mv, seeded, sparse_rank
 
@@ -110,3 +118,34 @@ def test_unimodular_maps_keep_every_verdict_and_move_the_factors():
                 factors = [f.terms for f in factorize(q)]
                 assert sparse_rank(moved) == sparse_rank(factors) == s, (g, str(p))
                 assert sparse_rank(moved + factors) == s, (g, str(p))
+
+
+def hodge(p):
+    """The complement *P of grade n - s: e_S goes to sign(S, S^c) e_{S^c},
+    the sign of the permutation listing S and then S^c."""
+    full = (1 << p.dim) - 1
+    terms = {}
+    for m, c in p.terms.items():
+        order = indices_of(m) + indices_of(full ^ m)
+        sign = (-1) ** sum(a > b for a, b in combinations(order, 2))
+        terms[full ^ m] = sign * c
+    return Multivector(p.dim, p.dim - p.grade, terms)
+
+
+def test_hodge_complement_keeps_every_verdict():
+    # *P is decomposable exactly when P is.  Dropping the sign from * gives
+    # *P composed with diag((-1)^i), a GL(n) map, so this pins the criteria
+    # across complementary grades, not the sign of * itself.
+    rng = seeded(903)
+    cells = [(n, s) for n in range(4, 8) for s in range(2, n - 1)]
+    for n, s in cells * 2:
+        masks = [mask_of(c) for c in combinations(range(1, n + 1), s)]
+        sparse = Multivector(
+            n, s, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in rng.sample(masks, 3)}
+        )
+        for p in (random_simple(rng, n, s, 3), random_nonsimple(rng, n, s, 3), sparse):
+            q = hodge(p)
+            before = verdicts(p)
+            assert verdicts(q) == before, (str(p), str(q))
+            oracle = is_simple_oracle(p)
+            assert all(verdict == oracle for _, verdict in before), str(p)

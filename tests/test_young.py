@@ -11,25 +11,25 @@ from plk import (
     Multivector,
     TwoColumnShape,
     equation_count,
-    isotypic_probe,
+    optimal_component_test,
     pairing,
     project_tensor_square,
-    sn_character,
-    standard_tableaux_count,
     verify_square_decomposition,
     wedge,
     young_dim,
 )
 from plk.multivector import mask_of
-from plk.young import (
+from plk.young import conjugate, hook_lengths
+from plk.randgen import random_nonsimple, random_simple, random_vector
+
+from reference import (
     _signed_perms,
     conjugacy_class_size,
-    conjugate,
-    hook_lengths,
+    isotypic_probe,
     partitions,
+    sn_character,
+    standard_tableaux_count,
 )
-from plk.randgen import random_simple, random_vector
-
 from util import rand_mv, seeded, sparse_rank
 
 
@@ -242,6 +242,20 @@ def test_probe_counterexample_has_nonzero_projection_component():
     assert wedge(P, P).is_zero()
     shape = TwoColumnShape(6, 2)
     assert any(isotypic_probe(P, shape, probes(rng, 7, 8)) != 0 for _ in range(25))
+
+
+def test_probe_nonzero_on_projection_component_for_nonsimple():
+    # the other direction of the optimal test: wherever it fails, the
+    # character projector onto Y[s+2, s-2] sees a nonzero component too
+    rng = seeded(407)
+    for n, s in [(5, 3), (6, 3), (6, 4), (7, 3), (7, 4)]:
+        shape = TwoColumnShape(s + 2, s - 2)
+        for _ in range(8):
+            P = random_nonsimple(rng, n, s, 5)
+            assert not optimal_component_test(P).verdict, str(P)
+            assert any(
+                isotypic_probe(P, shape, probes(rng, n, 2 * s)) != 0 for _ in range(25)
+            ), (n, s, str(P))
 
 
 def test_probe_sum_over_shapes_recovers_plain_evaluation():
