@@ -119,8 +119,14 @@ def _split(terms: Mapping[int, Coeff], bit: int) -> tuple[dict, dict]:
     )
 
 
+def _lsb_first(mask: int) -> str:
+    """The mask's bits, lowest first: among index sets of one size, the
+    largest such string is the lex-first set."""
+    return bin(mask)[:1:-1]
+
+
 def _first_component(terms: Mapping[int, Coeff]) -> tuple[tuple[int, ...], Coeff]:
-    mask = min(terms, key=indices_of)
+    mask = max(terms, key=_lsb_first)
     return indices_of(mask), terms[mask]
 
 

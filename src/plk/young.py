@@ -1,12 +1,11 @@
 """Two-column Young shapes and the representation theory behind the optimal
 decomposability test.
 
-Provides hook-content dimensions of GL(n) irreducibles, the exact integer
-identities splitting the tensor square of an exterior power into two-column
-components, and the explicit coefficient family of the projection of
-P (x) P onto the shape with column heights (grade+2, grade-2).
-
-Partitions are plain tuples of weakly decreasing positive row lengths.
+Provides the closed-form dimensions of the two-column GL(n) irreducibles,
+the exact integer identities splitting the tensor square of an exterior
+power into two-column components, and the explicit coefficient family of
+the projection of P (x) P onto the shape with column heights (grade+2,
+grade-2).
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, prod
-from typing import Iterator, Sequence
+from math import comb
+from typing import Iterator
 
 from .multivector import (
     Coeff,
@@ -59,63 +58,23 @@ class TwoColumnShape:
                 f"got ({self.first_col}, {self.second_col})"
             )
 
-    def partition(self) -> tuple[int, ...]:
-        """Row lengths: 2 repeated second_col times, then 1s."""
-        return (2,) * self.second_col + (1,) * (self.first_col - self.second_col)
-
-    @property
-    def cells(self) -> int:
-        return self.first_col + self.second_col
-
     def __str__(self) -> str:
         return f"Y[{self.first_col},{self.second_col}]"
 
 
-def _as_partition(shape) -> tuple[int, ...]:
-    if isinstance(shape, TwoColumnShape):
-        return shape.partition()
-    part = tuple(shape)
-    if any(not _is_int(x) or x < 1 for x in part):
-        raise InputError(f"partition rows must be positive integers, got {part}")
-    if any(a < b for a, b in zip(part, part[1:])):
-        raise InputError(f"partition rows must be weakly decreasing, got {part}")
-    return part
+def young_dim(n: int, shape: TwoColumnShape) -> int:
+    """Dimension of the GL(n) irreducible with column heights (a, b).
 
-
-def conjugate(part: Sequence[int]) -> tuple[int, ...]:
-    part = tuple(part)
-    if not part:
-        return ()
-    return tuple(sum(1 for r in part if r > j) for j in range(part[0]))
-
-
-def hook_lengths(part: Sequence[int]) -> list[list[int]]:
-    part = tuple(part)
-    conj = conjugate(part)
-    return [
-        [part[i] - j + conj[j] - i - 1 for j in range(part[i])]
-        for i in range(len(part))
-    ]
-
-
-def _hook_product(part: tuple[int, ...]) -> int:
-    return prod(h for row in hook_lengths(part) for h in row)
-
-
-def young_dim(n: int, shape) -> int:
-    """Dimension of the GL(n) irreducible of the given shape.
-
-    Hook-content product: prod over cells of (n + col - row) / hook, taken
-    as one exact integer quotient at the end.  Zero when the shape has more
-    than n rows.
+    The hook-content product written out for two columns:
+    C(n, a) * C(n+1, b) * (a-b+1) / (a+1), an exact integer quotient.  Zero
+    when the shape has more than n rows.
     """
     if not _is_int(n) or n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    part = _as_partition(shape)
-    num = prod(n + j - i for i, row in enumerate(part) for j in range(row))
-    den = _hook_product(part)
-    assert num % den == 0
-    return num // den
+    if not isinstance(shape, TwoColumnShape):
+        raise InputError(f"shape must be a TwoColumnShape, got {shape!r}")
+    a, b = shape.first_col, shape.second_col
+    return comb(n, a) * comb(n + 1, b) * (a - b + 1) // (a + 1)
 
 
 @dataclass(frozen=True)
@@ -246,8 +205,6 @@ __all__ = [
     "DimensionIdentity",
     "SquareDecompositionReport",
     "comb0",
-    "conjugate",
-    "hook_lengths",
     "young_dim",
     "verify_square_decomposition",
     "iter_projection_blocks",

@@ -3,12 +3,17 @@
 Nothing in ``plk`` calls these; they check theorems rather than decide
 anything, so they live with the tests:
 
+* the hook-content product for the dimension of the GL(n) irreducible of
+  any partition, with hook lengths and conjugate partitions (the pin of
+  the library's two-column closed form);
 * symmetric-group characters by the Murnaghan-Nakayama recursion and the
   character-weighted isotypic probes of P (x) P they drive (the paper's
   optimality remark: the Y[s,s] component of a nonzero P never vanishes,
   and the Y[s+2,s-2] component vanishes exactly on decomposable P);
 * the duality identity tying the two Pluecker formulations together,
   which pins the interior-product sign conventions.
+
+Partitions are plain tuples of weakly decreasing positive row lengths.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from plk.multivector import (
     Coeff,
     InputError,
     Multivector,
+    _is_int,
     contract_into,
     interior,
     pairing,
@@ -31,10 +37,62 @@ from plk.multivector import (
     wedge,
     wedge_terms,
 )
-from plk.young import TwoColumnShape, _as_partition, _hook_product
+from plk.young import TwoColumnShape
 
 
 # -- shapes ----------------------------------------------------------------------
+
+
+def two_column_partition(shape: TwoColumnShape) -> tuple[int, ...]:
+    """Row lengths: 2 repeated second_col times, then 1s."""
+    return (2,) * shape.second_col + (1,) * (shape.first_col - shape.second_col)
+
+
+def _as_partition(shape) -> tuple[int, ...]:
+    if isinstance(shape, TwoColumnShape):
+        return two_column_partition(shape)
+    part = tuple(shape)
+    if any(not _is_int(x) or x < 1 for x in part):
+        raise InputError(f"partition rows must be positive integers, got {part}")
+    if any(a < b for a, b in zip(part, part[1:])):
+        raise InputError(f"partition rows must be weakly decreasing, got {part}")
+    return part
+
+
+def conjugate(part: Sequence[int]) -> tuple[int, ...]:
+    part = tuple(part)
+    if not part:
+        return ()
+    return tuple(sum(1 for r in part if r > j) for j in range(part[0]))
+
+
+def hook_lengths(part: Sequence[int]) -> list[list[int]]:
+    part = tuple(part)
+    conj = conjugate(part)
+    return [
+        [part[i] - j + conj[j] - i - 1 for j in range(part[i])]
+        for i in range(len(part))
+    ]
+
+
+def _hook_product(part: tuple[int, ...]) -> int:
+    return prod(h for row in hook_lengths(part) for h in row)
+
+
+def hook_content_dim(n: int, shape) -> int:
+    """Dimension of the GL(n) irreducible of the given shape.
+
+    Hook-content product: prod over cells of (n + col - row) / hook, taken
+    as one exact integer quotient at the end.  Zero when the shape has more
+    than n rows.
+    """
+    if not _is_int(n) or n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    part = _as_partition(shape)
+    num = prod(n + j - i for i, row in enumerate(part) for j in range(row))
+    den = _hook_product(part)
+    assert num % den == 0
+    return num // den
 
 
 def standard_tableaux_count(shape) -> int:
@@ -171,9 +229,10 @@ def isotypic_probe(
     s = P.grade
     if s < 1:
         raise InputError("probe target must have grade >= 1")
-    if shape.cells != 2 * s:
+    part = two_column_partition(shape)
+    if sum(part) != 2 * s:
         raise InputError(
-            f"shape has {shape.cells} cells, expected {2 * s} for a grade-{s} vector"
+            f"shape has {sum(part)} cells, expected {2 * s} for a grade-{s} vector"
         )
     probes = list(probes)
     if len(probes) != 2 * s:
@@ -182,7 +241,6 @@ def isotypic_probe(
         if not xi.dual or xi.grade != 1 or xi.dim != P.dim:
             raise InputError(f"probe {i} must be a grade-1 covector of dim {P.dim}")
 
-    part = shape.partition()
     weights = _subset_weights(s, part)
 
     # G[I] = <wedge of probes at positions I, P>, with prefix-shared wedges.

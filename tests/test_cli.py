@@ -219,23 +219,59 @@ def test_dims_pass(capsys):
     assert out.count("PASS") == 5 and "FAIL" not in out
 
 
-def test_dims_json_golden(capsys):
-    code, out, _ = run_cli(capsys, "dims", "--dim", "6", "--grade", "3", "--json")
+# `plk dims --json` per (n, s): the dimensions of Y[s+j, s-j] for j = 0..s,
+# then the left side of each identity (every right side equals it).
+DIMS_GOLDEN = {
+    (6, 3): ([175, 189, 35, 1], [400, 210, 190, 225, 36]),
+    (1, 1): ([1, 0], [1, 1, 0, 0, 0]),
+    (5, 4): ([15, 10, 0, 0, 0], [25, 15, 10, 10, 0]),  # Y[6,2] has more rows than n
+    (8, 4): ([1764, 2352, 720, 63, 1], [4900, 2485, 2415, 3136, 784]),
+    (64, 32): (
+        [
+            200462103514932888645047564978068260, 532715901382243800966769999664901120,
+            696516981263042575141586353303360512, 677169287339069170276542287933822720,
+            534852795144465673570191858225096960, 354922322662809477444547136452234240,
+            201039917032780193517540685682734080, 98006959553480344339801084270332864,
+            41297796758109405457481123155752000, 15071464843295629362634167394176000,
+            4765845064022406039950555508864000, 1304933767529944510938842579808000,
+            308897365260711502589387857056000, 63064112378368321889704893312000,
+            11069500066883590058570503296000, 1664003512209332772813130614000,
+            213212256935153452920407178000, 23156143298654241674749676544,
+            2117590959095914340004295680, 161790993236538153836087040,
+            10233131529022764446972160, 529990551939751726853120,
+            22185651011431467635712, 738892855397731702720, 19205030307679594560,
+            380288401345981440, 5563022673761280, 57729480576768, 401966772480,
+            1731824640, 4060160, 4095, 1,
+        ],
+        [
+            3358511241965567934376258434786405156, 1679255620982783968104441287864497845,
+            1679255620982783966271817146921907311, 3158049138450635045731210869808336896,
+            2625333237068391244764440870143435776,
+        ],
+    ),
+}
+IDENTITY_NAMES = (
+    "total = C(n,s)^2",
+    "even tail = C(n,s)(C(n,s)+1)/2",
+    "odd tail = C(n,s)(C(n,s)-1)/2",
+    "tail j>=1 = C(n,s+1)C(n,s-1)",
+    "tail j>=2 = C(n,s+2)C(n,s-2)",
+)
+
+
+@pytest.mark.parametrize("case", DIMS_GOLDEN, ids=lambda c: "{}-{}".format(*c))
+def test_dims_json_golden(case, capsys):
+    n, s = case
+    code, out, _ = run_cli(capsys, "dims", "--dim", str(n), "--grade", str(s), "--json")
     assert code == 0
-    shapes = [([3, 3], 175), ([4, 2], 189), ([5, 1], 35), ([6, 0], 1)]
-    identities = [
-        ("total = C(n,s)^2", 400),
-        ("even tail = C(n,s)(C(n,s)+1)/2", 210),
-        ("odd tail = C(n,s)(C(n,s)-1)/2", 190),
-        ("tail j>=1 = C(n,s+1)C(n,s-1)", 225),
-        ("tail j>=2 = C(n,s+2)C(n,s-2)", 36),
-    ]
+    dims, sides = DIMS_GOLDEN[case]
     golden = {
-        "dim": 6,
-        "grade": 3,
-        "components": [{"shape": sh, "dim": d} for sh, d in shapes],
+        "dim": n,
+        "grade": s,
+        "components": [{"shape": [s + j, s - j], "dim": d} for j, d in enumerate(dims)],
         "identities": [
-            {"name": name, "lhs": v, "rhs": v, "ok": True} for name, v in identities
+            {"name": name, "lhs": v, "rhs": v, "ok": True}
+            for name, v in zip(IDENTITY_NAMES, sides)
         ],
         "passed": True,
     }

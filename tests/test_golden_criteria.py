@@ -19,7 +19,7 @@ from plk.serialize import dump
 from util import seeded
 
 LINEAR = ("classical", "dual", "improved", "dual-improved")
-COUNT_CASES = ((1, 0), (1, 1), (4, 2), (5, 3), (6, 3), (8, 4), (10, 3), (7, 7))
+COUNT_CASES = ((1, 0), (1, 1), (4, 2), (5, 3), (6, 3), (8, 4), (10, 3), (7, 7), (64, 32))
 
 
 def e(dim, *idx):
@@ -289,7 +289,12 @@ COUNT_STDOUT = {(1, 0): 'n=1 s=0: classical=0 dual=0 improved=0 dual-improved=0 
  (7, 7): 'n=7 s=7: classical=0 dual=0 improved=0 dual-improved=0 optimal=0\n',
  (8, 4): 'n=8 s=4: classical=3136 dual=3136 improved=784 dual-improved=784 optimal=720\n',
  (10, 3): 'n=10 s=3: classical=9450 dual=9450 improved=2520 dual-improved=2520 '
-          'optimal=2310\n'}
+          'optimal=2310\n',
+ (64, 32): 'n=64 s=32: classical=3158049138450635045731210869808336896 '
+           'dual=3158049138450635045731210869808336896 '
+           'improved=2625333237068391244764440870143435776 '
+           'dual-improved=2625333237068391244764440870143435776 '
+           'optimal=696516981263042575141586353303360512\n'}
 
 COUNT_JSON = '{\n  "dim": 9,\n  "grade": 4,\n  "counts": {\n    "classical": 10584,\n    "dual": 10584,\n    "improved": 3024,\n    "dual-improved": 3024,\n    "optimal": 2700\n  }\n}\n'
 

@@ -19,16 +19,19 @@ from plk import (
     young_dim,
 )
 from plk.multivector import mask_of
-from plk.young import conjugate, hook_lengths
 from plk.randgen import random_nonsimple, random_simple, random_vector
 
 from reference import (
     _signed_perms,
     conjugacy_class_size,
+    conjugate,
+    hook_content_dim,
+    hook_lengths,
     isotypic_probe,
     partitions,
     sn_character,
     standard_tableaux_count,
+    two_column_partition,
 )
 from util import rand_mv, seeded, sparse_rank
 
@@ -41,9 +44,9 @@ def probes(rng, dim, count, bound=10):
 
 
 def test_two_column_shape_partition():
-    assert TwoColumnShape(4, 2).partition() == (2, 2, 1, 1)
-    assert TwoColumnShape(3, 0).partition() == (1, 1, 1)
-    assert TwoColumnShape(0, 0).partition() == ()
+    assert two_column_partition(TwoColumnShape(4, 2)) == (2, 2, 1, 1)
+    assert two_column_partition(TwoColumnShape(3, 0)) == (1, 1, 1)
+    assert two_column_partition(TwoColumnShape(0, 0)) == ()
     with pytest.raises(InputError):
         TwoColumnShape(2, 3)
     with pytest.raises(InputError):
@@ -90,12 +93,47 @@ def test_known_dimension_table():
     assert young_dim(8, TwoColumnShape(6, 2)) == 720
 
 
-def test_young_dim_accepts_general_partitions():
-    assert young_dim(3, (2, 1)) == 8  # adjoint of GL(3) plus trace? exact: 8
-    with pytest.raises(InputError):
-        young_dim(3, (1, 2))
-    with pytest.raises(InputError):
-        young_dim(0, (1,))
+def test_young_dim_refuses_general_partitions():
+    assert hook_content_dim(3, (2, 1)) == 8  # the adjoint of GL(3) plus the trace
+    with pytest.raises(InputError, match="shape must be a TwoColumnShape"):
+        young_dim(3, (2, 1))
+    with pytest.raises(InputError, match="weakly decreasing"):
+        hook_content_dim(3, (1, 2))
+    with pytest.raises(InputError, match="positive integers"):
+        hook_content_dim(4, (2, True))
+    with pytest.raises(InputError, match="n must be >= 1"):
+        young_dim(0, TwoColumnShape(1, 0))
+
+
+def test_young_dim_is_the_hook_content_product():
+    for n in range(1, 17):
+        for a in range(n + 2):
+            for b in range(a + 1):
+                shape = TwoColumnShape(a, b)
+                assert young_dim(n, shape) == hook_content_dim(n, shape), (n, shape)
+
+
+def _semistandard_count(n, a, b):
+    """Two-column semistandard tableaux with entries in 1..n: a strictly
+    increasing first column A of height a and second column B of height b,
+    with rows weakly increasing (A[t] <= B[t])."""
+    entries = range(1, n + 1)
+    return sum(
+        all(x <= y for x, y in zip(A, B))
+        for A in combinations(entries, a)
+        for B in combinations(entries, b)
+    )
+
+
+def test_young_dim_counts_semistandard_tableaux():
+    # Semistandard tableaux index a basis of each GL(n) irreducible, so the
+    # count pins the dimension without any hook formula.
+    for n in range(1, 9):
+        for a in range(n + 2):
+            for b in range(a + 1):
+                assert young_dim(n, TwoColumnShape(a, b)) == _semistandard_count(n, a, b), (
+                    n, a, b
+                )
 
 
 # -- tensor square decomposition ---------------------------------------------------
@@ -149,7 +187,7 @@ def test_square_decomposition_validates():
         (lambda: TwoColumnShape(3.0, 1),
          "column heights must satisfy first >= second >= 0, got (3.0, 1)"),
         (lambda: young_dim(4, (2, True)),
-         "partition rows must be positive integers, got (2, True)"),
+         "shape must be a TwoColumnShape, got (2, True)"),
     ],
     ids=["count-float", "count-bool", "square-bool", "young-dim-float", "shape-float",
          "partition-bool"],
