@@ -44,6 +44,10 @@ OPTIMAL_INPUTS = {
     "dense-8-4": lambda: random_nonsimple(seeded(5, 8, 4), 8, 4, 5),
     "sparse-8-4": lambda: e(8, 1, 2, 3, 4) + e(8, 5, 6, 7, 8),
     "simple-7-4": lambda: random_simple(seeded(6, 7, 4), 7, 4, 5),
+    "two-sevenths-simple-8-4": lambda: random_simple(seeded(6, 8, 4), 8, 4, 5) * Fraction(2, 7),
+    "five-thirds-sparse-8-4": lambda: (
+        wedge(e(8, 1) + e(8, 8), e(8, 2, 3, 4) + e(8, 5, 6, 7)) * Fraction(-5, 3)
+    ),
 }
 OPTIMAL_CASES = ("dense-7-4", "sparse-7-4", "third-6-3", "simple-6-3", *OPTIMAL_INPUTS)
 RANDOMIZED_CASES = (
@@ -277,6 +281,11 @@ OPTIMAL_STDOUT = {
     "sparse-8-4": (1, "optimal            false  equations=10281  witness: pairs=({1,5},{2,6}), "
                       "skew over e_{3,4,7,8}: coefficient = 1/12\nresult: not-simple\n"),
     "simple-7-4": (0, "optimal            true   equations=14210\nresult: simple\n"),
+    "two-sevenths-simple-8-4": (0, "optimal            true   equations=46620\nresult: simple\n"),
+    "five-thirds-sparse-8-4": (
+        1, "optimal            false  equations=829  witness: pairs=({1,1},{2,5}), "
+           "skew over e_{3,4,6,7}: coefficient = 25/54\nresult: not-simple\n"
+    ),
 }
 
 JSON_STDOUT = '{\n  "file": "FILE",\n  "dim": 7,\n  "grade": 4,\n  "criteria": [\n    {\n      "criterion": "dual-improved",\n      "verdict": false,\n      "equations_checked": 6,\n      "witness": "Psi=e^{1,2,3,4,5,6} -> component e_{1,7} = 1",\n      "probabilistic": false,\n      "seed": null\n    }\n  ],\n  "simple": false,\n  "agreement": true\n}\n'

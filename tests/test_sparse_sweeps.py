@@ -208,7 +208,11 @@ def reference_optimal(P):
 def reference_input(trial):
     """Seeded inputs: int ones with 1 to 12 terms at n <= 7 (trials below
     60), then at n <= 8 Fraction-scaled ones and dense decomposable ones,
-    the last eight of them Fraction-scaled too."""
+    the last eight of them Fraction-scaled too (below 96), then dense
+    near-decomposable ones, every other one Fraction-scaled: U ^ (v1^v2 +
+    v3^v4) with U a wedge of s-2 vectors (below 104), and v ^ (Q1 + Q2) with
+    Q1, Q2 wedges of s-1 vectors, the paper's example of a P with
+    P_[abcd P_efgh] = 0 that is not simple."""
     rng = seeded(10, trial)
     if trial < 60:
         n = rng.randint(4, 7)
@@ -219,10 +223,23 @@ def reference_input(trial):
     scale = Fraction(rng.randint(1, 5), rng.randint(6, 9))
     if trial < 80:
         return rand_mv(rng, n, s, bound=3, max_terms=rng.choice((3, 8, 30))) * scale
-    return random_simple(rng, n, s, bound=2) * (scale if trial >= 88 else 1)
+    if trial < 96:
+        return random_simple(rng, n, s, bound=2) * (scale if trial >= 88 else 1)
+    scale = scale if trial % 2 else 1
+    if trial < 104:
+        n = rng.randint(6, 8)
+        s = rng.randint(2, min(n - 4, 4))
+        vs = [random_simple(rng, n, 2, bound=2) for _ in range(2)]
+        if s == 2:
+            return (vs[0] + vs[1]) * scale
+        return wedge(random_simple(rng, n, s - 2, bound=2), vs[0] + vs[1]) * scale
+    n = rng.randint(7, 8)
+    s = rng.randint(3, 4)
+    Q1, Q2 = (random_simple(rng, n, s - 1, bound=2) for _ in range(2))
+    return wedge(random_simple(rng, n, 1, bound=2), Q1 + Q2) * scale
 
 
-@pytest.mark.parametrize("trial", range(96))
+@pytest.mark.parametrize("trial", range(112))
 def test_equations_checked_matches_a_full_reference_sweep(trial):
     # verdict, equations_checked and the whole witness: its quantifier,
     # component and value

@@ -420,6 +420,21 @@ def test_projection_family_spans_dim_of_its_component(n, s):
     dim = young_dim(n, TwoColumnShape(s + 2, s - 2))
     assert dim == equation_count(n, s, "optimal")
     assert sparse_rank(rows) == dim
+    # The semistandard coordinates alone already have that rank, so a P whose
+    # projection vanishes on them has a vanishing component.
+    semistandard = [{key: c for key, c in row.items() if _is_semistandard(*key)} for row in rows]
+    assert sparse_rank(semistandard) == dim
+
+
+def _is_semistandard(pairs, subset):
+    """Whether the coordinate is a tableau of shape (2^(s-2), 1^4): first
+    column a_1 < ... < a_k followed by the 4-subset, second column
+    b_1 < ... < b_k, each row a_t <= b_t (given, since pairs have a <= b)."""
+    first = [a for a, _ in pairs] + list(subset)
+    second = [b for _, b in pairs]
+    return all(x < y for x, y in zip(first, first[1:])) and all(
+        x < y for x, y in zip(second, second[1:])
+    )
 
 
 def test_projection_empty_below_grade_two():
