@@ -368,12 +368,16 @@ def contraction_criterion(
 def optimal_component_test(P: Multivector) -> CriterionReport:
     """Vanishing of the component of P (x) P in the two-column shape (s+2, s-2).
 
-    Enumerates the projected coefficient family (symmetrized index pairs plus
-    a skewed 4-subset) in lexicographic order and reports the first nonzero
-    coefficient; pair tuples outside the indices P touches are zero, counted by
-    rank, not visited.  ``equations_checked`` counts the coefficients up to and
-    including the witness, or the family, multichoose(pairs, s-2) * C(n,4).
-    Below grade 2 there is no such component: the test passes with 0.
+    A pass is decided on the semistandard coordinates alone, which index a
+    basis of the component.  When one of them is nonzero, the projected
+    coefficient family (symmetrized index pairs plus a skewed 4-subset) is
+    enumerated in lexicographic order, sharing P's contraction table, and
+    the first nonzero coefficient is the witness; pair tuples outside the
+    indices P touches are zero, counted by rank, not visited.
+    ``equations_checked`` counts the coefficients of the family up to and
+    including the witness, or all of them on a pass, multichoose(pairs, s-2)
+    * C(n,4).  Below grade 2 there is no such component: the test passes
+    with 0.
     """
     require_vector(P, "P")
     n, k = P.dim, P.grade - 2
@@ -381,7 +385,10 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
     # Pair (a <= b) is the 2-subset {a, b+1} of 1..n+1, in the same lex order;
     # the t-th pair of a tuple at its position + t makes it a k-subset of 1..slots.
     slots = comb(n + 1, 2) + k - 1
-    for pairs, block, denom in young.iter_projection_blocks(P):
+    d = _Contractions(P.terms)
+    if young._semistandard_vanish(P, d):
+        return CriterionReport("optimal", True, comb0(slots, k) * per_block)
+    for pairs, block, denom in young.iter_projection_blocks(P, d):
         if block:
             comp, raw = _first_component(block)
             val = Fraction(raw, denom)
@@ -395,7 +402,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
                 text=f"pairs=({pair_txt}), skew over e_{{{_fmt(comp)}}}: coefficient = {val}",
             )
             return CriterionReport("optimal", False, checked, witness)
-    return CriterionReport("optimal", True, comb0(slots, k) * per_block)
+    raise InvariantViolation("a semistandard coordinate is nonzero but no projection block is")
 
 
 # -- rank oracle, factorization, families -----------------------------------------

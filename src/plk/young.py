@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from .multivector import (
     Coeff,
@@ -131,11 +131,106 @@ def verify_square_decomposition(n: int, s: int) -> SquareDecompositionReport:
     return SquareDecompositionReport(n, s, dims, identities)
 
 
+# -- semistandard tableaux ---------------------------------------------------------
+
+
+def _two_column_tableaux(
+    indices: Sequence[int], shape: TwoColumnShape
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Semistandard tableaux of ``shape`` with entries in the increasing
+    ``indices``, as (column A, column B) pairs in lex order.
+
+    Columns increase strictly and rows weakly: A[t] <= B[t].  Column A runs
+    over the increasing a-subsets; column B is built entry by entry, B[t]
+    from max(A[t], B[t-1] + 1) on, so no pair of columns is filtered.  B =
+    A[:b] always fits, so every column A has at least one tableau.
+    """
+    a, b = shape.first_col, shape.second_col
+    last = len(indices) - b  # B[t] lies at a position <= last + t
+    for top in combinations(range(len(indices)), a):
+        bottoms: list[tuple[int, ...]] = [()]
+        for t in range(b):
+            bottoms = [
+                B + (q,)
+                for B in bottoms
+                for q in range(max(top[t], B[-1] + 1 if B else 0), last + t + 1)
+            ]
+        column = tuple(indices[p] for p in top)
+        for B in bottoms:
+            yield column, tuple(indices[q] for q in B)
+
+
 # -- projection of P (x) P onto column heights (s+2, s-2) -------------------------
 
 
+class _Above(dict):
+    """The entries of a contraction table restricted to their terms whose
+    least index exceeds ``cut``, built on first use.  Their wedges are the
+    wedges of the full entries restricted the same way, since a union of two
+    index sets lies above ``cut`` exactly when both do."""
+
+    __slots__ = ("table", "low")
+
+    def __init__(self, table: _Contractions, cut: int):
+        super().__init__()
+        self.table = table
+        self.low = (1 << cut) - 1
+
+    def __missing__(self, u: int) -> dict[int, Coeff]:
+        self[u] = out = {m: c for m, c in self.table[u].items() if not m & self.low}
+        return out
+
+
+def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict[int, Coeff]:
+    """The unnormalized skew coefficients of one tuple of k >= 1 pairs: the
+    signed sum of the wedges d[u] ^ d[v] over the ways to split the pairs
+    into u and v.  Eps and its complement give one wedge of the two even
+    2-forms, so the first pair's side is fixed."""
+    k = len(pairs)
+    block: dict[int, Coeff] = {}
+    for eps in product((0, 1), repeat=k - 1):
+        full = (0,) + eps
+        umask, su = sorted_mask([pairs[j][full[j]] for j in range(k)])
+        vmask, sv = sorted_mask([pairs[j][1 - full[j]] for j in range(k)])
+        if not (su and sv and d[umask] and d[vmask]):
+            continue  # a repeated index, or a contraction that vanishes
+        for mm, c in wedge_terms(d[umask], d[vmask]).items():
+            block[mm] = block.get(mm, 0) + (c if su == sv else -c)
+    return _nonzero(block)
+
+
+def _semistandard_vanish(P: Multivector, d: _Contractions) -> bool:
+    """Whether the projection of P (x) P onto the shape (s+2, s-2) vanishes,
+    decided on its semistandard coordinates alone.
+
+    Those are the coordinates that form a tableau of shape (2^(s-2), 1^4):
+    pairs (a_t, b_t) with a_1 < ... < a_k and b_1 < ... < b_k, with a
+    4-subset above a_k, all inside the indices P touches.  They index a
+    basis of the component (Doubilet-Rota-Stein 1974), so the component
+    vanishes exactly when they do.  ``d`` is P's contraction table; each
+    tuple's block is built from its entries restricted above a_k.
+    """
+    s = P.grade
+    touched = touched_indices(P.terms)
+    if s < 2 or len(touched) <= s + 1:
+        return True
+    k = s - 2
+    if k == 0:
+        return not wedge_terms(P.terms, P.terms)
+    above: dict[int, _Above] = {}
+    for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
+        cut = top[-1]
+        if cut >= touched[-4]:
+            continue  # fewer than four touched indices above a_k
+        if cut not in above:
+            above[cut] = _Above(d, cut)
+        if _pair_block(tuple(zip(top, bottom)), above[cut]):
+            return False
+    return True
+
+
 def iter_projection_blocks(
-    P: Multivector,
+    P: Multivector, contractions: _Contractions | None = None
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Coeff], int]]:
     """Blocks of projection coefficients, one per tuple of symmetrized pairs.
 
@@ -148,11 +243,15 @@ def iter_projection_blocks(
     2-forms is exactly their wedge, so each block is a signed sum of wedges
     D[u] ^ D[v] of the contractions D[u] = i(e^u)P, memoized on first use
     and keyed by the mask of u; an unsorted u contributes the sign of
-    sorting it.  Pair tuples come in lex order, which fixes the first witness,
-    and only inside the indices P touches: the other blocks are zero.  When P
-    touches at most s+1 indices it lies in Lambda^s of a space of that
-    dimension, so it is decomposable and nothing is yielded; nor below grade
-    2, where the shape has no component.
+    sorting it.  ``contractions`` is P's table of them when the caller holds
+    one already, which the scan then shares.  Pair tuples come in lex order,
+    which fixes the first witness, and only inside the indices P touches: the
+    other blocks are zero.  When P touches at most s+1 indices it lies in
+    Lambda^s of a space of that dimension, so it is decomposable and nothing
+    is yielded; nor below grade 2, where the shape has no component.
+
+    This is the whole family; the optimal test decides a pass on its
+    semistandard coordinates alone and scans it only for the witness.
     """
     require_vector(P, "projection target")
     s = P.grade
@@ -163,25 +262,12 @@ def iter_projection_blocks(
     if k == 0:
         yield (), wedge_terms(P.terms, P.terms), 6
         return
-
     # D[u] = i(e^u)P, the 2-form P(u, x, y), empty when u lies in no term.
-    d = _Contractions(P.terms)
-
+    d = _Contractions(P.terms) if contractions is None else contractions
     pair_list = list(combinations_with_replacement(touched, 2))
     denom = 3 * (1 << k)
     for pairs in combinations_with_replacement(pair_list, k):
-        block: dict[int, Coeff] = {}
-        # Sum over pair-side assignments; eps and its complement combine into
-        # one wedge of the two contracted 2-forms, so fix the first choice.
-        for eps in product((0, 1), repeat=k - 1):
-            full = (0,) + eps
-            umask, su = sorted_mask([pairs[j][full[j]] for j in range(k)])
-            vmask, sv = sorted_mask([pairs[j][1 - full[j]] for j in range(k)])
-            if not (su and sv and d[umask] and d[vmask]):
-                continue  # a repeated index, or a contraction that vanishes
-            for mm, c in wedge_terms(d[umask], d[vmask]).items():
-                block[mm] = block.get(mm, 0) + (c if su == sv else -c)
-        yield pairs, _nonzero(block), denom
+        yield pairs, _pair_block(pairs, d), denom
 
 
 def project_tensor_square(

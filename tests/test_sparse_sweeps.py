@@ -114,6 +114,15 @@ def test_inputs_touching_at_most_s_plus_1_indices_pass_at_once(criterion, n, s, 
     assert out == (0, pass_line(criterion, n, s) + "result: simple\n")
 
 
+def test_dense_high_grade_optimal_finishes_within_a_timeout(tmp_path):
+    # A lex scan of the whole family visits 5,006,386 pair tuples here; the
+    # semistandard coordinates decide the pass.
+    P = random_simple(seeded(15, 10, 7), 10, 7, 3)
+    assert len(P.terms) == comb(10, 7)
+    out = check_in_child(P, tmp_path, "--criterion", "optimal")
+    assert out == (0, pass_line("optimal", 10, 7) + "result: simple\n")
+
+
 # -- relabeling ------------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from plk import (
 )
 from plk.multivector import mask_of
 from plk.randgen import random_nonsimple, random_simple, random_vector
+from plk.young import _two_column_tableaux
 
 from reference import (
     _signed_perms,
@@ -113,16 +114,21 @@ def test_young_dim_is_the_hook_content_product():
                 assert young_dim(n, shape) == hook_content_dim(n, shape), (n, shape)
 
 
-def _semistandard_count(n, a, b):
-    """Two-column semistandard tableaux with entries in 1..n: a strictly
-    increasing first column A of height a and second column B of height b,
-    with rows weakly increasing (A[t] <= B[t])."""
-    entries = range(1, n + 1)
-    return sum(
-        all(x <= y for x, y in zip(A, B))
+def _semistandard_filter(entries, a, b):
+    """Two-column semistandard tableaux with the given entries, (A, B) in lex
+    order: a strictly increasing first column A of height a and second column
+    B of height b, with rows weakly increasing (A[t] <= B[t]), found by
+    filtering every pair of columns."""
+    return sorted(
+        (A, B)
         for A in combinations(entries, a)
         for B in combinations(entries, b)
+        if all(x <= y for x, y in zip(A, B))
     )
+
+
+def _semistandard_count(n, a, b):
+    return len(_semistandard_filter(range(1, n + 1), a, b))
 
 
 def test_young_dim_counts_semistandard_tableaux():
@@ -134,6 +140,23 @@ def test_young_dim_counts_semistandard_tableaux():
                 assert young_dim(n, TwoColumnShape(a, b)) == _semistandard_count(n, a, b), (
                     n, a, b
                 )
+
+
+def test_tableau_enumerator_counts_young_dim():
+    for n in range(1, 9):
+        for a in range(n + 2):
+            for b in range(a + 1):
+                shape = TwoColumnShape(a, b)
+                count = sum(1 for _ in _two_column_tableaux(range(1, n + 1), shape))
+                assert count == young_dim(n, shape), (n, shape)
+
+
+def test_tableau_enumerator_is_a_lex_ordered_filter():
+    indices = (2, 3, 5, 8, 9, 11)
+    for a in range(len(indices) + 2):
+        for b in range(a + 1):
+            got = list(_two_column_tableaux(indices, TwoColumnShape(a, b)))
+            assert got == _semistandard_filter(indices, a, b), (a, b)
 
 
 # -- tensor square decomposition ---------------------------------------------------
