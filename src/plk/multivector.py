@@ -355,6 +355,23 @@ def wedge_terms(a: Mapping[int, Coeff], b: Mapping[int, Coeff]) -> dict[int, Coe
     return _nonzero(out)
 
 
+def _square_terms(a: Mapping[int, Coeff]) -> dict[int, Coeff]:
+    """Terms of a ^ a for a of even grade >= 2, equal to ``wedge_terms(a,
+    a)`` at half the products: even terms commute and no term meets itself,
+    so each unordered pair of terms counts twice."""
+    items = list(a.items())
+    out: dict[int, Coeff] = {}
+    for i, (ma, ca) in enumerate(items):
+        par = _suffix_parity(ma)
+        for mb, cb in items[i + 1 :]:
+            if ma & mb:
+                continue
+            m = ma | mb
+            c = 2 * ca * cb
+            out[m] = out.get(m, 0) + (-c if (par & mb).bit_count() & 1 else c)
+    return _nonzero(out)
+
+
 def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int, Coeff]:
     """Terms of interior(phi, p): contract each subset of phi out of p."""
     out: dict[int, Coeff] = {}

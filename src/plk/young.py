@@ -3,9 +3,10 @@ decomposability test.
 
 Provides the closed-form dimensions of the two-column GL(n) irreducibles,
 the exact integer identities splitting the tensor square of an exterior
-power into two-column components, and the explicit coefficient family of
-the projection of P (x) P onto the shape with column heights (grade+2,
-grade-2).
+power into two-column components, the explicit coefficient family of the
+projection of P (x) P onto the shape with column heights (grade+2,
+grade-2), and the semistandard tableaux that index a basis of that
+component, on which the optimal test decides a pass.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .multivector import (
     _Contractions,
     _is_int,
     _nonzero,
+    _square_terms,
     check_dim,
     indices_of,
     require_vector,
@@ -184,18 +186,33 @@ class _Above(dict):
 def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict[int, Coeff]:
     """The unnormalized skew coefficients of one tuple of k >= 1 pairs: the
     signed sum of the wedges d[u] ^ d[v] over the ways to split the pairs
-    into u and v.  Eps and its complement give one wedge of the two even
-    2-forms, so the first pair's side is fixed."""
+    into u and v.
+
+    The entries are 2-forms, which commute, so d[u] ^ d[v] = d[v] ^ d[u]:
+    eps and its complement give one wedge, so the first pair's side is
+    fixed, and the splits that give one unordered {u, v} (as pairs (a, a)
+    do) are summed into one multiplicity before any wedge is formed.
+    """
     k = len(pairs)
-    block: dict[int, Coeff] = {}
+    splits: dict[tuple[int, int], int] = {}
     for eps in product((0, 1), repeat=k - 1):
         full = (0,) + eps
         umask, su = sorted_mask([pairs[j][full[j]] for j in range(k)])
         vmask, sv = sorted_mask([pairs[j][1 - full[j]] for j in range(k)])
         if not (su and sv and d[umask] and d[vmask]):
             continue  # a repeated index, or a contraction that vanishes
-        for mm, c in wedge_terms(d[umask], d[vmask]).items():
-            block[mm] = block.get(mm, 0) + (c if su == sv else -c)
+        key = (umask, vmask) if umask <= vmask else (vmask, umask)
+        splits[key] = splits.get(key, 0) + su * sv
+    block: dict[int, Coeff] = {}
+    for (umask, vmask), times in splits.items():
+        if not times:
+            continue
+        if umask == vmask:
+            wedge = _square_terms(d[umask])
+        else:
+            wedge = wedge_terms(d[umask], d[vmask])
+        for mm, c in wedge.items():
+            block[mm] = block.get(mm, 0) + times * c
     return _nonzero(block)
 
 
@@ -216,7 +233,7 @@ def _semistandard_vanish(P: Multivector, d: _Contractions) -> bool:
         return True
     k = s - 2
     if k == 0:
-        return not wedge_terms(P.terms, P.terms)
+        return not _square_terms(P.terms)
     above: dict[int, _Above] = {}
     for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
         cut = top[-1]
@@ -260,10 +277,12 @@ def iter_projection_blocks(
         return
     k = s - 2
     if k == 0:
-        yield (), wedge_terms(P.terms, P.terms), 6
+        yield (), _square_terms(P.terms), 6
         return
+
     # D[u] = i(e^u)P, the 2-form P(u, x, y), empty when u lies in no term.
     d = _Contractions(P.terms) if contractions is None else contractions
+
     pair_list = list(combinations_with_replacement(touched, 2))
     denom = 3 * (1 << k)
     for pairs in combinations_with_replacement(pair_list, k):

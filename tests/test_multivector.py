@@ -19,6 +19,7 @@ from plk.criteria import from_factors
 from plk.linalg import nullspace
 from plk.multivector import (
     _Contractions,
+    _square_terms,
     basis_subsets,
     check_dim,
     indices_of,
@@ -455,6 +456,25 @@ def test_term_kernels_at_high_indices():
         assert interior_terms(phi.terms, p.terms) == interior_by_adjunction(phi, p).terms
         psi = _high_mv(rng, s + rng.randint(0, 2), dual=True)
         assert contract_into(p, psi) == contract_by_adjunction(p, psi)
+
+
+def test_square_kernel_is_the_wedge_of_an_even_form_with_itself():
+    rng = seeded(133)
+    cancelled = 0
+    for trial in range(30):
+        s = rng.choice((2, 2, 4, 6))
+        n = rng.randint(max(4, s), 8)
+        if trial % 3 == 2:  # a decomposable 2-form: its square cancels to 0
+            a = from_factors([random_vector(rng, n, 3) for _ in range(2)])
+        else:
+            a = rand_mv(rng, n, s, bound=3, rational=trial % 2 == 1)
+        out = _square_terms(a.terms)
+        assert all(out.values()), str(a)
+        assert _same_terms(out, wedge_terms(a.terms, a.terms)), str(a)
+        cancelled += not out
+    assert cancelled >= 10
+    a = _high_mv(rng, 2)  # indices 57..64
+    assert _square_terms(a.terms) == _wedge_by_definition(a, a)
 
 
 def test_contract_validates():
