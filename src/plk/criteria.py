@@ -90,8 +90,8 @@ class CriterionReport:
       counting C(n,k-2)*C(n,k+2); a pass counts every set or trial, a
       failure those before the witness plus the witness check's equations;
       the improved sweep of P when k = s;
-    * the optimal test: coefficients of the projected family enumerated,
-      up to and including the witness;
+    * the optimal test: coefficients of the projected family in lex order,
+      up to and including the witness, or all of them on a pass;
     * the oracle: the C(n, s-1) generators of the support space.
     """
 
