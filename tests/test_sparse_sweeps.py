@@ -220,8 +220,8 @@ def reference_input(trial):
     the last eight of them Fraction-scaled too (below 96), then dense
     near-decomposable ones, every other one Fraction-scaled: U ^ (v1^v2 +
     v3^v4) with U a wedge of s-2 vectors (below 104), and v ^ (Q1 + Q2) with
-    Q1, Q2 wedges of s-1 vectors, the paper's example of a P with
-    P_[abcd P_efgh] = 0 that is not simple."""
+    Q1, Q2 wedges of s-1 vectors; at grade 4 the latter is the paper's
+    example of a P with P_[abcd P_efgh] = 0 that is not simple."""
     rng = seeded(10, trial)
     if trial < 60:
         n = rng.randint(4, 7)
