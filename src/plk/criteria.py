@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Mapping, Sequence
 
 from . import linalg, young
@@ -40,8 +40,10 @@ from .multivector import (
     InputError,
     Multivector,
     _Contractions,
+    _cleared,
     _is_int,
     _nonzero,
+    _support_rows,
     check_dim,
     indices_of,
     interior_terms,
@@ -417,13 +419,17 @@ def is_simple_oracle(P: Multivector) -> bool:
 
 
 def oracle_report(P: Multivector) -> CriterionReport:
-    """The rank oracle packaged as a report (for CLI and agreement checks)."""
+    """The rank oracle packaged as a report (for CLI and agreement checks).
+
+    Only the rank is read: the support space's generator rows go straight
+    to ``linalg.rank``, with no back-substitution and no basis built.
+    """
     require_vector(P, "P")
     n, s = P.dim, P.grade
     generators = comb0(n, s - 1)
     if P.is_zero():
         return CriterionReport("oracle", True, generators)
-    r = support_space(P).rank
+    r = linalg.rank(_support_rows(P))
     if r == s:
         return CriterionReport("oracle", True, generators)
     witness = Witness(
@@ -445,8 +451,7 @@ def kernel_dimension(P: Multivector) -> int:
     n = P.dim
     # Scaling P keeps the kernel: clear its denominators so that the wedges
     # and the elimination run on integers, not Fractions.
-    d = lcm(*[c.denominator for c in P.terms.values()])
-    terms = {m: c.numerator * (d // c.denominator) for m, c in P.terms.items()}
+    _, terms = _cleared(P.terms)
     rows = [wedge_terms({1 << i: 1}, terms) for i in range(n)]
     cols = sorted(set().union(*rows))
     return n - linalg.rank([[row.get(m, 0) for m in cols] for row in rows])
@@ -469,6 +474,14 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     overall coefficient), or None when P is not decomposable.  The zero
     multivector yields grade-1 zero factors; grade 0 has no vector factors
     and raises InputError.
+
+    The factors are P's reduced support basis, the first scaled by P's
+    coefficient at the basis pivots, where the basis wedge is 1.  The check
+    that they wedge to P runs in integers: each basis vector cleared of its
+    denominators, the vectors wedge to W = D * (basis wedge), D the product
+    of their scales, so the check is c * W == D * P', for P' the integer
+    multiple of P that ``_cleared`` gives and c its pivot coefficient.  A
+    mismatch raises InvariantViolation.
     """
     require_vector(P, "P")
     s = P.grade
@@ -480,10 +493,16 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     if space.rank != s:
         return None
     pivots = sum(min(v.terms) for v in space.basis)  # RREF: the basis wedge is 1 here
-    factors = [P.terms[pivots] * space.basis[0], *space.basis[1:]]
-    if reduce(wedge, factors) != P:
+    scale, wedged = _cleared(space.basis[0].terms)
+    for v in space.basis[1:]:
+        d, terms = _cleared(v.terms)
+        scale *= d
+        wedged = wedge_terms(wedged, terms)
+    _, p_terms = _cleared(P.terms)
+    c = p_terms.get(pivots, 0)
+    if {m: c * w for m, w in wedged.items()} != {m: scale * x for m, x in p_terms.items()}:
         raise InvariantViolation("factor recovery produced a mismatched wedge")
-    return factors
+    return [P.terms[pivots] * space.basis[0], *space.basis[1:]]
 
 
 def equation_count(n: int, s: int, criterion: str) -> int:

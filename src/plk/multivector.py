@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -343,6 +343,13 @@ def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
+def _cleared(terms: Mapping[int, Coeff]) -> tuple[int, dict[int, int]]:
+    """(d, d * terms) for d the lcm of the coefficients' denominators, so the
+    scaled coefficients are integers."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
 def wedge_terms(a: Mapping[int, Coeff], b: Mapping[int, Coeff]) -> dict[int, Coeff]:
     out: dict[int, Coeff] = {}
     for ma, ca in a.items():
@@ -508,21 +515,41 @@ class SupportSpace:
         return [[v.terms.get(1 << i, 0) for i in range(self.dim)] for v in self.basis]
 
 
+def _support_rows(p: Multivector) -> list[list[Coeff]]:
+    """Coordinate rows of i(e^S)p over the (grade - 1)-subsets S inside a
+    term of p, in one pass over p's terms (no rows for grade 0).
+
+    A term m with coefficient c puts +-c at index i of the row of m - {i},
+    the sign being the parity of m's indices above i.  Each entry comes from
+    one term, so nothing is summed or multiplied.
+    """
+    rows: dict[int, list[Coeff]] = {}
+    for m, c in p.terms.items():
+        # the lowest index has grade - 1 indices above it; the sign then alternates
+        here, after = (c, -c) if m.bit_count() & 1 else (-c, c)
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = rows.get(m ^ low)
+            if row is None:
+                rows[m ^ low] = row = [0] * p.dim
+            row[low.bit_length() - 1] = here
+            here, after = after, here
+    return list(rows.values())
+
+
 def support_space(p: Multivector) -> SupportSpace:
     """Echelonized basis of span{ sharp(p, e^S) : |S| = grade - 1 }.
 
     Every subspace U with p in Lambda^grade(U) contains the result; p is
-    decomposable exactly when the rank equals the grade.
+    decomposable exactly when the rank equals the grade.  Only the subsets
+    S inside a term of p give nonzero generators; their rows are built in
+    one pass over p's terms (``_support_rows``), and the reduced row echelon
+    form is canonical, so the basis does not depend on their order.
     """
     require_vector(p, "p")
-    s = p.grade
-    if s == 0 or p.is_zero():
-        return SupportSpace(p.dim, ())
-    rows = []
-    for smask in term_subsets(p.terms, s - 1):
-        img = interior_terms({smask: 1}, p.terms)
-        rows.append([img.get(1 << i, 0) for i in range(p.dim)])
-    reduced, _ = linalg.rref(rows)
+    reduced, _ = linalg.rref(_support_rows(p))
     basis = tuple(
         Multivector(p.dim, 1, {1 << i: c for i, c in enumerate(row) if c})
         for row in reduced
@@ -551,11 +578,3 @@ def subset_rank(indices: Sequence[int], n: int) -> int:
 def touched_indices(terms: Iterable[int]) -> tuple[int, ...]:
     """Increasing indices that lie in at least one of the terms' index sets."""
     return indices_of(reduce(int.__or__, terms, 0))
-
-
-def term_subsets(terms: Iterable[int], r: int) -> set[int]:
-    """Masks of the r-subsets of the terms' index sets (a sum of distinct bits
-    is their union)."""
-    return {
-        sum(sub) for m in terms for sub in combinations([1 << (i - 1) for i in indices_of(m)], r)
-    }

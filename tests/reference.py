@@ -11,7 +11,10 @@ anything, so they live with the tests:
   optimality remark: the Y[s,s] component of a nonzero P never vanishes,
   and the Y[s+2,s-2] component vanishes exactly on decomposable P);
 * the duality identity tying the two Pluecker formulations together,
-  which pins the interior-product sign conventions.
+  which pins the interior-product sign conventions;
+* the r-subsets inside a multivector's terms, which index the generators
+  i(e^S)P of its support space (the library builds those rows in one pass
+  over the terms instead).
 
 Partitions are plain tuples of weakly decreasing positive row lengths.
 """
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from plk.multivector import (
     Coeff,
@@ -30,6 +33,7 @@ from plk.multivector import (
     Multivector,
     _is_int,
     contract_into,
+    indices_of,
     interior,
     pairing,
     require_vector,
@@ -297,3 +301,14 @@ def duality_identity_check(
     lhs = pairing(psi, wedge(P, interior(phi, P)))
     rhs = pairing(phi, interior(contract_into(P, psi), P))
     return lhs == (rhs if (s - 1) % 2 == 0 else -rhs)
+
+
+# -- subsets inside the terms ----------------------------------------------------
+
+
+def term_subsets(terms: Iterable[int], r: int) -> set[int]:
+    """Masks of the r-subsets of the terms' index sets (a sum of distinct bits
+    is their union)."""
+    return {
+        sum(sub) for m in terms for sub in combinations([1 << (i - 1) for i in indices_of(m)], r)
+    }

@@ -10,6 +10,7 @@ import pytest
 from plk import (
     DecomposableFamily,
     InputError,
+    InvariantViolation,
     Multivector,
     ThreePlaneBranch,
     classical_pluecker,
@@ -30,8 +31,9 @@ from plk import (
     three_plane_check,
     wedge,
 )
+from plk import criteria
 from plk.criteria import CRITERIA, run_criterion
-from plk.multivector import basis_subsets
+from plk.multivector import SupportSpace, basis_subsets
 from plk.randgen import random_nonsimple, random_simple
 from plk.young import (
     TwoColumnShape,
@@ -399,6 +401,21 @@ def test_factorize_zero_and_scalar():
     assert from_factors(z).is_zero()
     with pytest.raises(InputError, match="no vector factors"):
         factorize(Multivector.scalar(4, 5))
+
+
+def test_factorize_check_fires_on_a_wrong_basis(monkeypatch):
+    # factorize checks the wedge of its factors against P: a rank-s basis
+    # whose wedge is not a multiple of P raises, a right one with Fraction
+    # entries does not.
+    q = Fraction(5, 7)
+    p = q * wedge(e(4, 1) + Fraction(1, 2) * e(4, 3), e(4, 2) + Fraction(2, 3) * e(4, 4))
+    for basis in ([e(4, 1), e(4, 2)], [e(4, 1), e(4, 3)], [e(4, 1), 2 * e(4, 2)]):
+        monkeypatch.setattr(criteria, "support_space", lambda P, b=basis: SupportSpace(4, tuple(b)))
+        with pytest.raises(InvariantViolation, match="mismatched wedge"):
+            factorize(p)
+    right = (e(4, 1) + Fraction(1, 2) * e(4, 3), e(4, 2) + Fraction(2, 3) * e(4, 4))
+    monkeypatch.setattr(criteria, "support_space", lambda P: SupportSpace(4, right))
+    assert factorize(p) == [q * right[0], right[1]]
 
 
 def test_from_factors_examples():

@@ -1,5 +1,6 @@
 """Core exterior algebra: wedge, pairing, interior products, support space."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,6 +21,7 @@ from plk.linalg import nullspace
 from plk.multivector import (
     _Contractions,
     _square_terms,
+    _support_rows,
     basis_subsets,
     check_dim,
     indices_of,
@@ -28,12 +30,12 @@ from plk.multivector import (
     shuffle_sign,
     sorted_mask,
     subset_rank,
-    term_subsets,
     wedge_terms,
 )
 from plk.randgen import random_vector
 from plk.young import iter_projection_blocks
 
+from reference import term_subsets
 from util import contract_by_adjunction, interior_by_adjunction, rand_mv, seeded
 
 
@@ -546,6 +548,28 @@ def test_support_generators_are_nonzero():
         for smask in term_subsets(p.terms, s - 1):
             phi = Multivector(n, s - 1, {smask: 1}, dual=True)
             assert not interior(phi, p).is_zero(), (str(p), smask)
+
+
+def test_support_rows_are_the_generators_inside_the_terms():
+    # The rows built in one pass over P's terms are, as a multiset, the
+    # definitional rows i(e^S)P over the (s-1)-subsets S inside a term.
+    rng = seeded(111)
+    for i in range(48):
+        n = rng.randint(1, 9)
+        s = rng.randint(1, min(n, 5))
+        if i % 4 < 2:
+            p = rand_mv(rng, n, s, max_terms=6)
+        else:
+            p = Multivector(n, s, {mask_of(S): rng.randint(1, 9) for S in basis_subsets(n, s)})
+        if i % 2:
+            p = p * Fraction(1, 3)
+        inside = {t for t in map(mask_of, basis_subsets(n, s - 1)) if any(t & m == t for m in p.terms)}
+        rows = (interior_terms({t: 1}, p.terms) for t in inside)
+        expected = Counter(tuple(row.get(1 << j, 0) for j in range(n)) for row in rows)
+        assert Counter(map(tuple, _support_rows(p))) == expected, str(p)
+    # at grade 1 the one row is P itself
+    p = Multivector(9, 1, {1: 2, 8: Fraction(-1, 3), 256: 5})
+    assert _support_rows(p) == [[2, 0, 0, Fraction(-1, 3), 0, 0, 0, 0, 5]]
 
 
 def test_support_pivots_strictly_increase():
