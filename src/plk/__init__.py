@@ -38,7 +38,6 @@ from .criteria import (
 )
 from .young import (
     TwoColumnShape,
-    project_tensor_square,
     verify_square_decomposition,
     young_dim,
 )

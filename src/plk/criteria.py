@@ -8,8 +8,9 @@ are all validated against:
 * ``dual_pluecker``        - i(i_P psi)P = 0 for all (s+1)-covectors psi
 * ``contraction_criterion``- contractions by s-k independent covectors are
                              decomposable k-vectors (quadratic in each
-                             covector, so decided exactly on a grid of
-                             covector points, or by seeded random points)
+                             covector, so decided exactly on point sets
+                             indexed by semistandard tableaux, or by seeded
+                             random points)
 * ``improved_pluecker``    - i(psi)P ^ P = 0 for all (s-2)-covectors psi
 * ``dual_improved_pluecker`` - i(i_P psi)P = 0 for all (s+2)-covectors psi
 * ``optimal_component_test`` - the component of P (x) P in the two-column
@@ -31,7 +32,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
 from typing import Mapping, Sequence
 
 from . import linalg, young
@@ -88,12 +88,14 @@ class CriterionReport:
       basis covector and output component; a pass counts all of them
       (``equation_count``), a failure those up to and including the witness;
     * the contraction criterion: the improved equations of its inner
-      checks, each passing point set (exact mode) or trial (randomized mode)
-      counting C(n,k-2)*C(n,k+2); a pass counts every set or trial, a
-      failure those before the witness plus the witness check's equations;
-      the improved sweep of P when k = s;
-    * the optimal test: coefficients of the projected family in lex order,
-      up to and including the witness, or all of them on a pass;
+      checks, C(n,k-2)*C(n,k+2) per point set (exact mode) or trial
+      (randomized mode); a pass counts all dim Y[m,m] tableau sets over 1..n
+      (m = s-k) or all trials, a failure the sets or trials visited before
+      the witness plus the witness check's equations; the improved sweep of
+      P when k = s;
+    * the optimal test: the semistandard coordinates of the component over
+      1..n in its scan order, up to and including the witness, or all
+      dim Y[s+2,s-2] of them (``equation_count``) on a pass;
     * the oracle: the C(n, s-1) generators of the support space.
     """
 
@@ -251,20 +253,6 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
 # -- contraction criterion (evaluation at covector points) ------------------------
 
 
-def _grid_points(indices: Sequence[int]) -> list[dict[int, int]]:
-    """The covectors e^i and e^i + e^j (i < j) over ``indices``, in the full
-    grid's order, each as its terms."""
-    units = [{1 << (i - 1): 1} for i in indices]
-    return units + [{**u, **v} for u, v in combinations(units, 2)]
-
-
-def _grid_position(terms: Mapping[int, Coeff], n: int) -> int:
-    """1-based position of a grid covector in the full grid: e^i at i, then
-    e^i + e^j at n + subset_rank((i, j), n)."""
-    idx = touched_indices(terms)
-    return idx[0] if len(idx) == 1 else n + subset_rank(idx, n)
-
-
 def _random_points(n, m, trials, seed, bound):
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
@@ -286,20 +274,23 @@ def contraction_criterion(
     The Pluecker expressions F(a_1, ..., a_m) of the contraction, m = s-k,
     are quadratic in each a_i, so basis covectors alone do not suffice.
 
-    The exact mode (named "symbolic") evaluates F at the m-subsets of the
-    grid {e^i} U {e^i + e^j}.  This decides F == 0: the grid is unisolvent for
-    quadratic forms (q(e^i) = q_ii, q(e^i + e^j) = q_ii + q_jj + q_ij), so
-    its m-fold product is unisolvent for forms quadratic in each a_i; F is
-    symmetric in the a_i up to a sign that the quadratic relations absorb,
-    and vanishes when two of them coincide, so the m-subsets of grid points
-    carry all of that information.  Only the sets inside the indices P
-    touches are visited: a point e^i off them contracts P to zero, and
-    e^i + e^j with i off them acts as e^j, which gives a lex-smaller set with
-    the same contraction (or a repeated covector), so the first failing set
-    lies inside.  When P touches at most s+1 indices it is decomposable (it
-    lies in Lambda^s of that many dimensions) and no set is visited.  A
-    witness names its set by the lex position t among all m-sets of the full
-    grid.
+    The exact mode (named "symbolic") evaluates F at one point set per
+    semistandard tableau (I, J) of the shape (m, m) over the indices P
+    touches: the set {e^(I_t) + e^(J_t)}, with e^(I_t) alone when I_t = J_t,
+    in the lex order of ``young._two_column_tableaux``.  This decides
+    F == 0.  Every m-set of the grid {e^i} U {e^i + e^j} decides it: the grid
+    is unisolvent for quadratic forms (q(e^i) = q_ii, q(e^i + e^j) = q_ii +
+    q_jj + q_ij), so its m-fold product is unisolvent for forms quadratic in
+    each a_i; F is symmetric in the a_i up to a sign that the quadratic
+    relations absorb, and vanishes when two of them coincide.  And F is a
+    quadratic form in the coordinates of phi = a_1 ^ ... ^ a_m inside the
+    touched indices, since i(phi)P is linear in phi and i(e^I)P = 0 for I
+    off them.  The products phi_I phi_J on the tableau sets span the same
+    space as on the grid's sets, of dimension dim Y[m,m] (standard monomial
+    theory, Doubilet-Rota-Stein 1974), so F vanishes on every grid set when
+    it vanishes on the tableau sets.  When P touches at most s+1 indices it
+    is decomposable (it lies in Lambda^s of that many dimensions) and no set
+    is visited.
 
     Randomized mode evaluates at ``trials`` seeded integer tuples drawn from
     [-bound, bound]: a nonzero evaluation certifies failure, while an
@@ -309,9 +300,10 @@ def contraction_criterion(
     one lazy table of P's basis contractions, and check it with the improved
     relations, which decide decomposability for every k >= 2 (with k = s,
     the improved sweep of P).  ``equations_checked`` counts C(n,k-2)*C(n,k+2)
-    per set or trial before the witness, plus the witness check's own, or
-    for all C(n + C(n,2), m) sets or all trials on a pass.  The witness's t
-    and coordinate tuples ``alphas`` come from the failing set's terms.
+    per set or trial: on a pass, for all dim Y[m,m] tableaux over 1..n or
+    all trials; on a failure, for the t sets or trials before the witness,
+    plus the witness check's own.  The witness names the failing set or
+    trial by t, with its coordinate tuples ``alphas``.
     """
     require_vector(P, "P")
     if not _is_int(k) or k < 2:
@@ -334,24 +326,29 @@ def contraction_criterion(
         raise InputError(f"k must satisfy 2 <= k <= grade={s}, got {k}")
     m = s - k
     exact = mode == "symbolic"
-    if exact:
-        label, report_seed = "point", None
-        touched = touched_indices(P.terms)
-        size = n + comb(n, 2)
-        point_sets = combinations(_grid_points(touched if len(touched) > s + 1 else ()), m)
-        total = comb(size, m)
-    else:
-        label, report_seed = "trial", seed
-        point_sets, total = _random_points(n, m, trials, seed, bound), trials
+    report_seed = None if exact else seed
     if m == 0:
         return replace(_sweep(n, s, P.terms, "improved"), criterion=name, seed=report_seed)
+    if exact:
+        label, shape = "point", young.TwoColumnShape(m, m)
+        touched = touched_indices(P.terms)
+        # the terms of e^i + e^j, and of e^i when i = j (one key)
+        point_of = {
+            (i, j): {1 << (i - 1): 1, 1 << (j - 1): 1} for i in touched for j in touched if i <= j
+        }
+        point_sets = (
+            [point_of[pair] for pair in zip(I, J)]
+            for I, J in young._two_column_tableaux(touched if len(touched) > s + 1 else (), shape)
+        )
+        total = young.young_dim(n, shape)
+    else:
+        label = "trial"
+        point_sets, total = _random_points(n, m, trials, seed, bound), trials
     table = _Contractions(P.terms)
     per = comb0(n, k - 2) * comb0(n, k + 2)
-    for i, points in enumerate(point_sets):
-        phi_terms = reduce(wedge_terms, points, {0: 1})
-        rep = _sweep(n, k, table.interior(phi_terms), "improved")
+    for t, points in enumerate(point_sets):
+        rep = _sweep(n, k, table.interior(reduce(wedge_terms, points)), "improved")
         if not rep.verdict:
-            t = subset_rank([_grid_position(a, n) for a in points], size) - 1 if exact else i
             alphas = [tuple(a.get(1 << x, 0) for x in range(n)) for a in points]
             witness = Witness(
                 equation=(t, tuple(alphas)) + rep.witness.equation,
@@ -370,32 +367,28 @@ def contraction_criterion(
 def optimal_component_test(P: Multivector) -> CriterionReport:
     """Vanishing of the component of P (x) P in the two-column shape (s+2, s-2).
 
-    A pass is decided on the semistandard coordinates alone, which index a
-    basis of the component.  When one of them is nonzero, the projected
-    coefficient family (symmetrized index pairs plus a skewed 4-subset) is
-    enumerated in lexicographic order, sharing P's contraction table, and
-    the first nonzero coefficient is the witness; pair tuples outside the
-    indices P touches are zero, counted by rank, not visited.
-    ``equations_checked`` counts the coefficients of the family up to and
-    including the witness, or all of them on a pass, multichoose(pairs, s-2)
-    * C(n,4).  Below grade 2 there is no such component: the test passes
+    The test reads the semistandard coordinates of the projection, which
+    index a basis of the component, in the order of
+    ``young.iter_projection_blocks``: tableau (a, b) of the shape (s-2, s-2)
+    in lex order, then the 4-subset above a_k in lex order.  The first
+    nonzero one is the witness.  ``equations_checked`` counts the
+    coordinates over 1..n up to and including the witness in that order, or
+    all dim Y[s+2,s-2] of them (``equation_count``) on a pass; a coordinate
+    that holds an index P does not touch is zero, so only those inside are
+    visited.  Below grade 2 there is no such component: the test passes
     with 0.
     """
     require_vector(P, "P")
-    n, k = P.dim, P.grade - 2
-    per_block = comb0(n, 4)
-    # Pair (a <= b) is the 2-subset {a, b+1} of 1..n+1, in the same lex order;
-    # the t-th pair of a tuple at its position + t makes it a k-subset of 1..slots.
-    slots = comb(n + 1, 2) + k - 1
-    d = _Contractions(P.terms)
-    if young._semistandard_vanish(P, d):
-        return CriterionReport("optimal", True, comb0(slots, k) * per_block)
-    for pairs, block, denom in young.iter_projection_blocks(P, d):
+    n = P.dim
+    for pairs, block, denom in young.iter_projection_blocks(P):
         if block:
             comp, raw = _first_component(block)
             val = Fraction(raw, denom)
-            q = [subset_rank((a, b + 1), n + 1) + t for t, (a, b) in enumerate(pairs)]
-            checked = (subset_rank(q, slots) - 1) * per_block + subset_rank(comp, n)
+            top, bottom = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+            cut = top[-1] if top else 0
+            checked = young._tableau_rank(top, bottom, n, 4) + subset_rank(
+                [c - cut for c in comp], n - cut
+            )
             pair_txt = ",".join("{%d,%d}" % p for p in pairs) or "-"
             witness = Witness(
                 equation=(pairs, comp),
@@ -404,7 +397,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
                 text=f"pairs=({pair_txt}), skew over e_{{{_fmt(comp)}}}: coefficient = {val}",
             )
             return CriterionReport("optimal", False, checked, witness)
-    raise InvariantViolation("a semistandard coordinate is nonzero but no projection block is")
+    return CriterionReport("optimal", True, equation_count(n, P.grade, "optimal"))
 
 
 # -- rank oracle, factorization, families -----------------------------------------

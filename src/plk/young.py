@@ -3,17 +3,18 @@ decomposability test.
 
 Provides the closed-form dimensions of the two-column GL(n) irreducibles,
 the exact integer identities splitting the tensor square of an exterior
-power into two-column components, the explicit coefficient family of the
-projection of P (x) P onto the shape with column heights (grade+2,
-grade-2), and the semistandard tableaux that index a basis of that
-component, on which the optimal test decides a pass.
+power into two-column components, the semistandard tableaux that index a
+basis of each of them, with their lex rank, and the blocks of the
+semistandard coordinates of the projection of P (x) P onto the shape with
+column heights (grade+2, grade-2), on which the optimal test decides.  The
+contraction criterion's exact mode evaluates at point sets indexed by the
+same tableaux.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, product
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
@@ -26,7 +27,6 @@ from .multivector import (
     _nonzero,
     _square_terms,
     check_dim,
-    indices_of,
     require_vector,
     sorted_mask,
     touched_indices,
@@ -162,6 +162,51 @@ def _two_column_tableaux(
             yield column, tuple(indices[q] for q in B)
 
 
+def _tableau_rank(top: Sequence[int], bottom: Sequence[int], n: int, tail: int = 0) -> int:
+    """The number of tableaux over 1..n that ``_two_column_tableaux`` lists
+    before (top, bottom), each counted C(n - top'[-1], tail) times: the
+    tableaux whose first column is theirs followed by ``tail`` entries above
+    it.  With tail = 0 that is the plain 0-based rank.
+
+    The tableaux before (top, bottom) first differ from it at one entry, in
+    the order top then bottom, where theirs is smaller.  When that entry is
+    top[i] = v, the second column's rows up to i are bounded row by row by
+    top[:i] and v, and the rows after i of both columns are two
+    non-crossing lattice paths: their count with entries above (x, y),
+    x <= y, is a 2x2 binomial determinant (Gessel-Viennot 1985).  When top
+    is equal and the entry is bottom[j], the rows after j of the second
+    column are bounded row by row by top.
+    """
+    a, b = len(top), len(bottom)
+
+    def free(x, y, ra, rb):  # ra + rb entries above x and y, rows weakly increasing
+        return comb0(n - x, ra) * comb0(n - y, rb) - comb0(n - x, rb - 1) * comb0(n - y, ra + 1)
+
+    before = 0
+    ends = [1] + [0] * n  # ends[y]: second columns B[:i] >= top[:i] row by row, ending at y
+    for i in range(a):
+        upto = list(accumulate(ends))  # upto[y]: those ending at or below y
+        for v in range(top[i - 1] + 1 if i else 1, top[i]):
+            if i < b:
+                ra, rb = a + tail - i - 1, b - i - 1
+                before += sum(upto[y - 1] * free(v, y, ra, rb) for y in range(v, n + 1))
+            else:
+                before += upto[n] * comb0(n - v, a + tail - i - 1)
+        if i < b:
+            ends = [upto[y - 1] if y >= top[i] else 0 for y in range(n + 1)]
+    tails = comb0(n - top[-1], tail) if top else 1
+    later = [1] * (n + 1)  # later[w]: second columns B[j+1:] >= top[j+1:] above w
+    for j in reversed(range(b)):
+        before += tails * sum(later[max(top[j], bottom[j - 1] + 1 if j else 1) : bottom[j]])
+        shifted, above = [0] * (n + 1), 0
+        for w in range(n, -1, -1):
+            shifted[w] = above
+            if w >= top[j]:
+                above += later[w]
+        later = shifted
+    return before
+
+
 # -- projection of P (x) P onto column heights (s+2, s-2) -------------------------
 
 
@@ -216,59 +261,31 @@ def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict
     return _nonzero(block)
 
 
-def _semistandard_vanish(P: Multivector, d: _Contractions) -> bool:
-    """Whether the projection of P (x) P onto the shape (s+2, s-2) vanishes,
-    decided on its semistandard coordinates alone.
-
-    Those are the coordinates that form a tableau of shape (2^(s-2), 1^4):
-    pairs (a_t, b_t) with a_1 < ... < a_k and b_1 < ... < b_k, with a
-    4-subset above a_k, all inside the indices P touches.  They index a
-    basis of the component (Doubilet-Rota-Stein 1974), so the component
-    vanishes exactly when they do.  ``d`` is P's contraction table; each
-    tuple's block is built from its entries restricted above a_k.
-    """
-    s = P.grade
-    touched = touched_indices(P.terms)
-    if s < 2 or len(touched) <= s + 1:
-        return True
-    k = s - 2
-    if k == 0:
-        return not _square_terms(P.terms)
-    above: dict[int, _Above] = {}
-    for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
-        cut = top[-1]
-        if cut >= touched[-4]:
-            continue  # fewer than four touched indices above a_k
-        if cut not in above:
-            above[cut] = _Above(d, cut)
-        if _pair_block(tuple(zip(top, bottom)), above[cut]):
-            return False
-    return True
-
-
 def iter_projection_blocks(
-    P: Multivector, contractions: _Contractions | None = None
+    P: Multivector,
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Coeff], int]]:
-    """Blocks of projection coefficients, one per tuple of symmetrized pairs.
+    """Blocks of the semistandard coordinates of the projection of P (x) P
+    onto the shape (s+2, s-2), one per tableau of the shape (s-2, s-2).
 
-    Yields (pairs, block, denom) where ``pairs`` is a lexicographically
-    increasing tuple of s-2 index pairs (a <= b), ``block`` maps each 4-subset
-    mask {c<d<e<f} to its nonzero unnormalized skew coefficient, and the
-    projection coefficient at (pairs, subset) equals block[subset] / denom.
+    Those coordinates are the tableaux of shape (2^(s-2), 1^4): pairs
+    (a_t, b_t) with a_1 < ... < a_k and b_1 < ... < b_k, with a 4-subset
+    above a_k.  They index a basis of the component (Doubilet-Rota-Stein
+    1974), so the component vanishes exactly when they do.  Yields (pairs,
+    block, denom) for the tableaux (a, b) inside the indices P touches, in
+    the lex order of ``_two_column_tableaux``: ``pairs`` is zip(a, b),
+    ``block`` maps each 4-subset mask above a_k to its nonzero unnormalized
+    skew coefficient, and the projection coefficient at (pairs, subset) is
+    block[subset] / denom.  A coordinate that holds an index P does not touch
+    is zero, and so is a tableau with fewer than four touched indices above
+    a_k, which is skipped.
 
     The skew over the four indices of the product of two pair-contracted
     2-forms is exactly their wedge, so each block is a signed sum of wedges
-    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, memoized on first use
-    and keyed by the mask of u; an unsorted u contributes the sign of
-    sorting it.  ``contractions`` is P's table of them when the caller holds
-    one already, which the scan then shares.  Pair tuples come in lex order,
-    which fixes the first witness, and only inside the indices P touches: the
-    other blocks are zero.  When P touches at most s+1 indices it lies in
-    Lambda^s of a space of that dimension, so it is decomposable and nothing
-    is yielded; nor below grade 2, where the shape has no component.
-
-    This is the whole family; the optimal test decides a pass on its
-    semistandard coordinates alone and scans it only for the witness.
+    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, read through one lazy
+    table and restricted to their terms above a_k.  When P touches at most
+    s+1 indices it lies in Lambda^s of a space of that dimension, so it is
+    decomposable and nothing is yielded; nor below grade 2, where the shape
+    has no component.
     """
     require_vector(P, "projection target")
     s = P.grade
@@ -279,30 +296,17 @@ def iter_projection_blocks(
     if k == 0:
         yield (), _square_terms(P.terms), 6
         return
-
-    # D[u] = i(e^u)P, the 2-form P(u, x, y), empty when u lies in no term.
-    d = _Contractions(P.terms) if contractions is None else contractions
-
-    pair_list = list(combinations_with_replacement(touched, 2))
+    d = _Contractions(P.terms)
     denom = 3 * (1 << k)
-    for pairs in combinations_with_replacement(pair_list, k):
-        yield pairs, _pair_block(pairs, d), denom
-
-
-def project_tensor_square(
-    P: Multivector,
-) -> dict[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], Fraction]:
-    """Nonzero coefficients of the projection of P (x) P onto the shape with
-    column heights (grade+2, grade-2), indexed by (pair tuple, 4-subset).
-
-    The map is empty exactly when the component vanishes, i.e. exactly when
-    the vector is decomposable; below grade 2 it is always empty.
-    """
-    out: dict[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], Fraction] = {}
-    for pairs, block, denom in iter_projection_blocks(P):
-        for mask in sorted(block, key=indices_of):
-            out[(pairs, indices_of(mask))] = Fraction(block[mask], denom)
-    return out
+    above: dict[int, _Above] = {}
+    for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
+        cut = top[-1]
+        if cut >= touched[-4]:
+            continue  # fewer than four touched indices above a_k
+        if cut not in above:
+            above[cut] = _Above(d, cut)
+        pairs = tuple(zip(top, bottom))
+        yield pairs, _pair_block(pairs, above[cut]), denom
 
 
 __all__ = [
@@ -313,5 +317,4 @@ __all__ = [
     "young_dim",
     "verify_square_decomposition",
     "iter_projection_blocks",
-    "project_tensor_square",
 ]

@@ -14,7 +14,11 @@ anything, so they live with the tests:
   which pins the interior-product sign conventions;
 * the r-subsets inside a multivector's terms, which index the generators
   i(e^S)P of its support space (the library builds those rows in one pass
-  over the terms instead).
+  over the terms instead);
+* the whole lex family of coefficients of the projection of P (x) P onto
+  the shape (s+2, s-2), one block per tuple of symmetrized pairs, and the
+  map of its nonzero coefficients (the library's optimal test reads only
+  the semistandard coordinates of the component).
 
 Partitions are plain tuples of weakly decreasing positive row lengths.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -31,17 +35,20 @@ from plk.multivector import (
     Coeff,
     InputError,
     Multivector,
+    _Contractions,
     _is_int,
+    _square_terms,
     contract_into,
     indices_of,
     interior,
     pairing,
     require_vector,
     sorted_mask,
+    touched_indices,
     wedge,
     wedge_terms,
 )
-from plk.young import TwoColumnShape
+from plk.young import TwoColumnShape, _pair_block
 
 
 # -- shapes ----------------------------------------------------------------------
@@ -312,3 +319,62 @@ def term_subsets(terms: Iterable[int], r: int) -> set[int]:
     return {
         sum(sub) for m in terms for sub in combinations([1 << (i - 1) for i in indices_of(m)], r)
     }
+
+
+# -- the lex family of the (s+2, s-2) projection -----------------------------------
+
+
+def lex_projection_blocks(
+    P: Multivector, contractions: _Contractions | None = None
+) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Coeff], int]]:
+    """Blocks of projection coefficients, one per tuple of symmetrized pairs.
+
+    Yields (pairs, block, denom) where ``pairs`` is a lexicographically
+    increasing tuple of s-2 index pairs (a <= b), ``block`` maps each 4-subset
+    mask {c<d<e<f} to its nonzero unnormalized skew coefficient, and the
+    projection coefficient at (pairs, subset) equals block[subset] / denom.
+
+    The skew over the four indices of the product of two pair-contracted
+    2-forms is exactly their wedge, so each block is a signed sum of wedges
+    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, memoized on first use
+    and keyed by the mask of u; an unsorted u contributes the sign of
+    sorting it.  ``contractions`` is P's table of them when the caller holds
+    one already, which the scan then shares.  Pair tuples come in lex order,
+    and only inside the indices P touches: the other blocks are zero.  When
+    P touches at most s+1 indices it lies in Lambda^s of a space of that
+    dimension, so it is decomposable and nothing is yielded; nor below grade
+    2, where the shape has no component.
+    """
+    require_vector(P, "projection target")
+    s = P.grade
+    touched = touched_indices(P.terms)
+    if s < 2 or len(touched) <= s + 1:
+        return
+    k = s - 2
+    if k == 0:
+        yield (), _square_terms(P.terms), 6
+        return
+
+    # D[u] = i(e^u)P, the 2-form P(u, x, y), empty when u lies in no term.
+    d = _Contractions(P.terms) if contractions is None else contractions
+
+    pair_list = list(combinations_with_replacement(touched, 2))
+    denom = 3 * (1 << k)
+    for pairs in combinations_with_replacement(pair_list, k):
+        yield pairs, _pair_block(pairs, d), denom
+
+
+def project_tensor_square(
+    P: Multivector,
+) -> dict[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], Fraction]:
+    """Nonzero coefficients of the projection of P (x) P onto the shape with
+    column heights (grade+2, grade-2), indexed by (pair tuple, 4-subset).
+
+    The map is empty exactly when the component vanishes, i.e. exactly when
+    the vector is decomposable; below grade 2 it is always empty.
+    """
+    out: dict[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], Fraction] = {}
+    for pairs, block, denom in lex_projection_blocks(P):
+        for mask in sorted(block, key=indices_of):
+            out[(pairs, indices_of(mask))] = Fraction(block[mask], denom)
+    return out

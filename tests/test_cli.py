@@ -12,8 +12,8 @@ from plk.criteria import COUNTED, CRITERIA, equation_count, run_criterion
 from plk.multivector import InputError
 from plk.randgen import random_multivector, random_nonsimple, random_simple, random_vector
 from plk.serialize import dump, dumps, emit_multivector, loads
-from plk.young import project_tensor_square
 
+from reference import project_tensor_square
 from util import seeded
 
 
@@ -66,7 +66,7 @@ def test_check_optimal_golden_witness(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--criterion", "optimal", path)
     assert code == 1
     assert out.splitlines()[0] == (
-        "optimal            false  equations=383  "
+        "optimal            false  equations=18  "
         "witness: pairs=({1,1},{2,5}), skew over e_{3,4,6,7}: coefficient = 1/6"
     )
 

@@ -1,6 +1,7 @@
 """Decomposability criteria: examples, witnesses, equivalence, families."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -39,10 +40,11 @@ from plk.young import (
     TwoColumnShape,
     iter_projection_blocks,
     verify_square_decomposition,
+    young_dim,
 )
 
-from reference import duality_identity_check, isotypic_probe
-from util import rand_mv, seeded
+from reference import duality_identity_check, isotypic_probe, project_tensor_square
+from util import rand_mv, seeded, sparse_rank
 
 
 def e(dim, *idx, dual=False):
@@ -277,6 +279,43 @@ def test_contraction_grid_needs_sum_points():
     assert out.coeff(rep.witness.component) == rep.witness.value != 0
 
 
+def _phi_products(points, n):
+    """The products phi_I phi_J (I <= J) of phi = the wedge of the points,
+    each given by its coordinates."""
+    covectors = [
+        Multivector(n, 1, {1 << i: c for i, c in enumerate(v) if c}, dual=True) for v in points
+    ]
+    items = sorted(reduce(wedge, covectors).terms.items())
+    return {(I, J): a * b for t, (I, a) in enumerate(items) for J, b in items[t:]}
+
+
+@pytest.mark.parametrize("n,m", ((5, 2), (6, 2), (6, 3), (7, 3)))
+def test_contraction_tableau_sets_span_the_full_grid(n, m):
+    # The exact mode's decision rests on this: an inner equation is a
+    # quadratic form in phi, and the products phi_I phi_J on the tableau
+    # point sets have rank dim Y[m,m], as on all m-sets of the grid, and
+    # span the same space.  Tableaux come from filtering pairs of columns.
+    def point(i, j):
+        return tuple(int(x in (i, j)) for x in range(1, n + 1))
+
+    columns = list(combinations(range(1, n + 1), m))
+    tableau_sets = [
+        [point(i, j) for i, j in zip(I, J)]
+        for I in columns
+        for J in columns
+        if all(i <= j for i, j in zip(I, J))
+    ]
+    grid = [point(i, i) for i in range(1, n + 1)] + [
+        point(i, j) for i, j in combinations(range(1, n + 1), 2)
+    ]
+    tableau_rows = [_phi_products(points, n) for points in tableau_sets]
+    grid_rows = [_phi_products(points, n) for points in combinations(grid, m)]
+    dim = young_dim(n, TwoColumnShape(m, m))
+    assert len(tableau_rows) == dim
+    assert sparse_rank(tableau_rows) == sparse_rank(grid_rows) == dim
+    assert sparse_rank(tableau_rows + grid_rows) == dim
+
+
 def test_contraction_exact_matches_oracle_beyond_k2():
     for n in range(4, 8):
         for s in (3, 4):
@@ -307,8 +346,10 @@ def test_contraction_inner_check_is_improved_in_both_modes(trial, which_k, mode)
     opts = dict(trials=5, seed=trial, bound=3)
     if k == s:
         sets = 1
-    else:
-        sets = opts["trials"] if mode == "randomized" else comb(n + comb(n, 2), s - k)
+    elif mode == "randomized":
+        sets = opts["trials"]
+    else:  # one point set per tableau of Y[s-k, s-k]
+        sets = young_dim(n, TwoColumnShape(s - k, s - k))
     rep = contraction_criterion(random_simple(rng, n, s, 3), k, mode, **opts)
     assert rep.verdict
     assert rep.equations_checked == sets * equation_count(n, k, "improved")
@@ -325,7 +366,7 @@ def test_optimal_simple_passes():
     p = random_simple(rng, 8, 4, 4)
     rep = optimal_component_test(p)
     assert rep.verdict
-    assert rep.equations_checked == 666 * 70  # multichoose(36,2) * C(8,4)
+    assert rep.equations_checked == 720  # dim Y[6,2] at n = 8
 
 
 def test_optimal_rejects_counterexample():
@@ -333,7 +374,7 @@ def test_optimal_rejects_counterexample():
     assert not rep.verdict
     assert rep.witness.equation == (((1, 1), (2, 5)), (3, 4, 6, 7))
     assert rep.witness.value == Fraction(1, 6)
-    assert rep.equations_checked == 383
+    assert rep.equations_checked == 18
 
 
 def test_optimal_grade_two_reduces_to_wedge_square():
@@ -348,6 +389,21 @@ def test_optimal_passes_low_grade():
     for p in (e(4, 1), Multivector.scalar(4, 3)):
         rep = optimal_component_test(p)
         assert rep.verdict and rep.equations_checked == 0
+
+
+def test_every_optimal_pass_reports_the_equation_count():
+    # A pass counts all dim Y[s+2,s-2] coordinates, whether it visits them,
+    # visits only those inside the indices P touches, or none.
+    for n in range(1, 9):
+        for s in range(n + 1):
+            rng = seeded(517, n, s)
+            inputs = [random_simple(rng, n, s, 3), Multivector.zero(n, s)]
+            if s:
+                inputs.append(e(n, *range(n - s + 1, n + 1)))
+            for p in inputs:
+                rep = optimal_component_test(p)
+                assert rep.verdict, (n, s, str(p))
+                assert rep.equations_checked == equation_count(n, s, "optimal"), (n, s, str(p))
 
 
 # -- oracle, factorization ----------------------------------------------------------
@@ -652,8 +708,8 @@ def test_witness_soundness_linear_criteria():
 
 
 def test_optimal_witness_matches_projection_map():
-    from plk import project_tensor_square
-
+    # The witness is the first nonzero semistandard coordinate of the lex
+    # family's map in the scan order: tableau (a, b), then the 4-subset.
     rng = seeded(515)
     for _ in range(15):
         p = rand_mv(rng, 7, 3, max_terms=5)
@@ -662,8 +718,20 @@ def test_optimal_witness_matches_projection_map():
         assert rep.verdict == (not coeffs)
         if not rep.verdict:
             key = (rep.witness.equation[0], rep.witness.component)
-            assert min(coeffs) == key
+            assert min(filter(_is_semistandard, coeffs), key=_scan_order) == key
             assert coeffs[key] == rep.witness.value
+
+
+def _is_semistandard(key):
+    pairs, subset = key
+    first = [a for a, _ in pairs] + list(subset)
+    second = [b for _, b in pairs]
+    return first == sorted(set(first)) and second == sorted(set(second))
+
+
+def _scan_order(key):
+    pairs, subset = key
+    return [a for a, _ in pairs], [b for _, b in pairs], subset
 
 
 def test_equivalence_mini_suite():

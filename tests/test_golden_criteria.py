@@ -269,21 +269,21 @@ LINEAR_STDOUT = {('dense-6-3', 'classical'): (1,
                                     'result: not-simple\n')}
 
 OPTIMAL_STDOUT = {
-    "dense-7-4": (1, "optimal            false  equations=276  witness: pairs=({1,1},{2,2}), "
+    "dense-7-4": (1, "optimal            false  equations=1  witness: pairs=({1,1},{2,2}), "
                      "skew over e_{3,4,5,6}: coefficient = 28/3\nresult: not-simple\n"),
-    "sparse-7-4": (1, "optimal            false  equations=383  witness: pairs=({1,1},{2,5}), "
+    "sparse-7-4": (1, "optimal            false  equations=18  witness: pairs=({1,1},{2,5}), "
                       "skew over e_{3,4,6,7}: coefficient = 1/6\nresult: not-simple\n"),
-    "third-6-3": (1, "optimal            false  equations=11  witness: pairs=({1,1}), "
+    "third-6-3": (1, "optimal            false  equations=1  witness: pairs=({1,1}), "
                      "skew over e_{2,3,4,5}: coefficient = 4/9\nresult: not-simple\n"),
-    "simple-6-3": (0, "optimal            true   equations=315\nresult: simple\n"),
-    "dense-8-4": (1, "optimal            false  equations=616  witness: pairs=({1,1},{2,2}), "
+    "simple-6-3": (0, "optimal            true   equations=35\nresult: simple\n"),
+    "dense-8-4": (1, "optimal            false  equations=1  witness: pairs=({1,1},{2,2}), "
                      "skew over e_{3,4,5,6}: coefficient = -10\nresult: not-simple\n"),
-    "sparse-8-4": (1, "optimal            false  equations=10281  witness: pairs=({1,5},{2,6}), "
+    "sparse-8-4": (1, "optimal            false  equations=336  witness: pairs=({1,5},{2,6}), "
                       "skew over e_{3,4,7,8}: coefficient = 1/12\nresult: not-simple\n"),
-    "simple-7-4": (0, "optimal            true   equations=14210\nresult: simple\n"),
-    "two-sevenths-simple-8-4": (0, "optimal            true   equations=46620\nresult: simple\n"),
+    "simple-7-4": (0, "optimal            true   equations=140\nresult: simple\n"),
+    "two-sevenths-simple-8-4": (0, "optimal            true   equations=720\nresult: simple\n"),
     "five-thirds-sparse-8-4": (
-        1, "optimal            false  equations=829  witness: pairs=({1,1},{2,5}), "
+        1, "optimal            false  equations=49  witness: pairs=({1,1},{2,5}), "
            "skew over e_{3,4,6,7}: coefficient = 25/54\nresult: not-simple\n"
     ),
 }
@@ -354,14 +354,14 @@ EXACT_STDOUT = {('dense-6-3', 2): (1,
  ('grade-0', 3): (0, 'contraction(k=3)   true   equations=0\nresult: simple\n'),
  ('grade-1', 2): (0, 'contraction(k=2)   true   equations=0\nresult: simple\n'),
  ('grade-1', 3): (0, 'contraction(k=3)   true   equations=0\nresult: simple\n'),
- ('grade-4', 2): (0, 'contraction(k=2)   true   equations=525\nresult: simple\n'),
+ ('grade-4', 2): (0, 'contraction(k=2)   true   equations=250\nresult: simple\n'),
  ('grade-4', 3): (0, 'contraction(k=3)   true   equations=75\nresult: simple\n'),
- ('grade-5', 2): (0, 'contraction(k=2)   true   equations=2275\nresult: simple\n'),
- ('grade-5', 3): (0, 'contraction(k=3)   true   equations=525\nresult: simple\n'),
+ ('grade-5', 2): (0, 'contraction(k=2)   true   equations=250\nresult: simple\n'),
+ ('grade-5', 3): (0, 'contraction(k=3)   true   equations=250\nresult: simple\n'),
  ('simple-6-3', 2): (0, 'contraction(k=2)   true   equations=315\nresult: simple\n'),
  ('simple-6-3', 3): (0, 'contraction(k=3)   true   equations=36\nresult: simple\n'),
  ('sparse-6-3', 2): (1,
-                     'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, 0, 0, '
+                     'contraction(k=2)   false  equations=58  witness: point 3, alphas=[(1, 0, 0, '
                      '1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2\n'
                      'result: not-simple\n'),
  ('sparse-6-3', 3): (1,
@@ -369,9 +369,8 @@ EXACT_STDOUT = {('dense-6-3', 2): (1,
                      'e_{2,3,4,5,6} = 1\n'
                      'result: not-simple\n'),
  ('sparse-7-4', 2): (1,
-                     'contraction(k=2)   false  equations=523  witness: point 14, alphas=[(1, 0, '
-                     '0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{3,4,6,7} = '
-                     '2\n'
+                     'contraction(k=2)   false  equations=138  witness: point 3, alphas=[(1, 0, 0, '
+                     '0, 0, 0, 0), (0, 1, 0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{3,4,6,7} = 2\n'
                      'result: not-simple\n'),
  ('sparse-7-4', 3): (1,
                      'contraction(k=3)   false  equations=42  witness: point 0, alphas=[(1, 0, 0, '
@@ -386,7 +385,7 @@ EXACT_STDOUT = {('dense-6-3', 2): (1,
                     'e_{1,2,3,4,5} = 8/3\n'
                     'result: not-simple\n'),
  ('third-sparse-6-3', 2): (1,
-                           'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, '
+                           'contraction(k=2)   false  equations=58  witness: point 3, alphas=[(1, '
                            '0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2/9\n'
                            'result: not-simple\n'),
  ('third-sparse-6-3', 3): (1,
@@ -405,7 +404,7 @@ CHECK_STDOUT = {'dense-6-3': (1,
                'e_{1} = 24\n'
                'contraction(k=2)   false  equations=11  witness: point 0, alphas=[(1, 0, 0, 0, 0, '
                '0)]: Psi=e^{} -> component e_{2,3,4,5} = 24\n'
-               'optimal            false  equations=11  witness: pairs=({1,1}), skew over '
+               'optimal            false  equations=1  witness: pairs=({1,1}), skew over '
                'e_{2,3,4,5}: coefficient = 4\n'
                'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
                'result: not-simple\n'),
@@ -420,7 +419,7 @@ CHECK_STDOUT = {'dense-6-3': (1,
                'e_{1,2} = 56\n'
                'contraction(k=2)   false  equations=31  witness: point 0, alphas=[(1, 0, 0, 0, 0, '
                '0, 0), (0, 1, 0, 0, 0, 0, 0)]: Psi=e^{} -> component e_{3,4,5,6} = 56\n'
-               'optimal            false  equations=276  witness: pairs=({1,1},{2,2}), skew over '
+               'optimal            false  equations=1  witness: pairs=({1,1},{2,2}), skew over '
                'e_{3,4,5,6}: coefficient = 28/3\n'
                'oracle             false  equations=35  witness: support rank 7 != grade 4\n'
                'result: not-simple\n'),
@@ -447,8 +446,8 @@ CHECK_STDOUT = {'dense-6-3': (1,
              'dual               true   equations=10\n'
              'improved           true   equations=0\n'
              'dual-improved      true   equations=0\n'
-             'contraction(k=2)   true   equations=525\n'
-             'optimal            true   equations=600\n'
+             'contraction(k=2)   true   equations=250\n'
+             'optimal            true   equations=0\n'
              'oracle             true   equations=10\n'
              'result: simple\n'),
  'grade-5': (0,
@@ -456,8 +455,8 @@ CHECK_STDOUT = {'dense-6-3': (1,
              'dual               true   equations=0\n'
              'improved           true   equations=0\n'
              'dual-improved      true   equations=0\n'
-             'contraction(k=2)   true   equations=2275\n'
-             'optimal            true   equations=3400\n'
+             'contraction(k=2)   true   equations=250\n'
+             'optimal            true   equations=0\n'
              'oracle             true   equations=5\n'
              'result: simple\n'),
  'simple-6-3': (0,
@@ -466,7 +465,7 @@ CHECK_STDOUT = {'dense-6-3': (1,
                 'improved           true   equations=36\n'
                 'dual-improved      true   equations=36\n'
                 'contraction(k=2)   true   equations=315\n'
-                'optimal            true   equations=315\n'
+                'optimal            true   equations=35\n'
                 'oracle             true   equations=15\n'
                 'result: simple\n'),
  'sparse-6-3': (1,
@@ -478,9 +477,9 @@ CHECK_STDOUT = {'dense-6-3': (1,
                 'e_{2,3,4,5,6} = 1\n'
                 'dual-improved      false  equations=6  witness: Psi=e^{1,2,3,4,5} -> component '
                 'e_{6} = 1\n'
-                'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, 0, 0, 1, '
-                '0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2\n'
-                'optimal            false  equations=58  witness: pairs=({1,4}), skew over '
+                'contraction(k=2)   false  equations=58  witness: point 3, alphas=[(1, 0, 0, 1, 0, '
+                '0)]: Psi=e^{} -> component e_{2,3,5,6} = 2\n'
+                'optimal            false  equations=18  witness: pairs=({1,4}), skew over '
                 'e_{2,3,5,6}: coefficient = 1/6\n'
                 'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
                 'result: not-simple\n'),
@@ -493,9 +492,9 @@ CHECK_STDOUT = {'dense-6-3': (1,
                 'e_{1,3,4,5,6,7} = 1\n'
                 'dual-improved      false  equations=6  witness: Psi=e^{1,2,3,4,5,6} -> component '
                 'e_{1,7} = 1\n'
-                'contraction(k=2)   false  equations=523  witness: point 14, alphas=[(1, 0, 0, 0, '
+                'contraction(k=2)   false  equations=138  witness: point 3, alphas=[(1, 0, 0, 0, '
                 '0, 0, 0), (0, 1, 0, 0, 1, 0, 0)]: Psi=e^{} -> component e_{3,4,6,7} = 2\n'
-                'optimal            false  equations=383  witness: pairs=({1,1},{2,5}), skew over '
+                'optimal            false  equations=18  witness: pairs=({1,1},{2,5}), skew over '
                 'e_{3,4,6,7}: coefficient = 1/6\n'
                 'oracle             false  equations=35  witness: support rank 7 != grade 4\n'
                 'result: not-simple\n'),
@@ -510,7 +509,7 @@ CHECK_STDOUT = {'dense-6-3': (1,
                'e_{1} = 8/3\n'
                'contraction(k=2)   false  equations=11  witness: point 0, alphas=[(1, 0, 0, 0, 0, '
                '0)]: Psi=e^{} -> component e_{2,3,4,5} = 8/3\n'
-               'optimal            false  equations=11  witness: pairs=({1,1}), skew over '
+               'optimal            false  equations=1  witness: pairs=({1,1}), skew over '
                'e_{2,3,4,5}: coefficient = 4/9\n'
                'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
                'result: not-simple\n'),
@@ -523,9 +522,9 @@ CHECK_STDOUT = {'dense-6-3': (1,
                       'e_{2,3,4,5,6} = 1/9\n'
                       'dual-improved      false  equations=6  witness: Psi=e^{1,2,3,4,5} -> '
                       'component e_{6} = 1/9\n'
-                      'contraction(k=2)   false  equations=133  witness: point 8, alphas=[(1, 0, '
-                      '0, 1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2/9\n'
-                      'optimal            false  equations=58  witness: pairs=({1,4}), skew over '
+                      'contraction(k=2)   false  equations=58  witness: point 3, alphas=[(1, 0, 0, '
+                      '1, 0, 0)]: Psi=e^{} -> component e_{2,3,5,6} = 2/9\n'
+                      'optimal            false  equations=18  witness: pairs=({1,4}), skew over '
                       'e_{2,3,5,6}: coefficient = 1/54\n'
                       'oracle             false  equations=15  witness: support rank 6 != grade 3\n'
                       'result: not-simple\n')}

@@ -35,7 +35,7 @@ from plk.multivector import (
 from plk.randgen import random_vector
 from plk.young import iter_projection_blocks
 
-from reference import term_subsets
+from reference import lex_projection_blocks, term_subsets
 from util import contract_by_adjunction, interior_by_adjunction, rand_mv, seeded
 
 
@@ -695,12 +695,19 @@ def test_projection_blocks_drop_cancelled_sums():
     for P in inputs:
         d = {}
         cancelled = False
-        for pairs, block, _ in iter_projection_blocks(P):
+        lex = {}
+        for pairs, block, _ in lex_projection_blocks(P):
             ref, touched = _block_reference(P, pairs, d)
             assert all(block.values()), (str(P), pairs)
             assert block == ref, (str(P), pairs)
             cancelled |= bool(touched - set(block))
+            lex[pairs] = block
         assert cancelled, str(P)
+        # The library's blocks are those of the semistandard tableaux,
+        # restricted to the 4-subsets above the last pair's first index.
+        for pairs, block, _ in iter_projection_blocks(P):
+            low = (1 << pairs[-1][0]) - 1
+            assert block == {m: c for m, c in lex[pairs].items() if not m & low}, (str(P), pairs)
 
 
 def _same_terms(a, b):

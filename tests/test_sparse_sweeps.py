@@ -2,10 +2,13 @@
 
 Golden ``plk check --criterion X`` lines for sparse inputs at n = 12; a
 relabeling test (a monotone index map into a larger space keeps every
-verdict and moves each witness index by index); and a test-local reference
-sweep that visits every basis covector and every pair tuple and counts
-``equations_checked`` one quantifier at a time, and one that scans every
-covector point set of the contraction criterion's full grid.
+verdict and moves each witness index by index); and test-local reference
+sweeps that count ``equations_checked`` one quantifier at a time: one that
+visits every basis covector, one that visits every semistandard coordinate
+of the optimal test over 1..n, and one that scans the contraction
+criterion's tableau point sets.  The references list tableaux by filtering
+pairs of columns, not through the library's enumerator, and read the
+optimal test's values from the lex family of ``tests/reference.py``.
 """
 
 import random
@@ -13,7 +16,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -31,8 +34,9 @@ from plk.cli import main
 from plk.criteria import CRITERIA
 from plk.randgen import random_simple
 from plk.serialize import dump
-from plk.young import project_tensor_square
+from plk.young import TwoColumnShape, young_dim
 
+from reference import project_tensor_square
 from util import rand_mv, seeded
 
 SWEPT = ("classical", "dual", "improved", "dual-improved", "optimal")
@@ -69,11 +73,9 @@ BLADES = (
 def pass_line(criterion, n, s):
     """The report line of a pass: every sweep counts its whole quantifier."""
     name = criterion
-    if criterion == "optimal":  # multichoose(C(n+1,2), s-2) * C(n,4)
-        count = comb(comb(n + 1, 2) + s - 3, s - 2) * comb(n, 4)
-    elif criterion == "contraction":  # (s-2)-sets of n + C(n,2) grid points, C(n,4) each
+    if criterion == "contraction":  # one point set per tableau of Y[s-2,s-2], C(n,4) each
         name = "contraction(k=2)"
-        count = comb(n + comb(n, 2), s - 2) * comb(n, 4)
+        count = young_dim(n, TwoColumnShape(s - 2, s - 2)) * comb(n, 4)
     elif criterion == "oracle":
         count = comb(n, s - 1)
     else:
@@ -121,6 +123,15 @@ def test_dense_high_grade_optimal_finishes_within_a_timeout(tmp_path):
     assert len(P.terms) == comb(10, 7)
     out = check_in_child(P, tmp_path, "--criterion", "optimal")
     assert out == (0, pass_line("optimal", 10, 7) + "result: simple\n")
+
+
+def test_dense_high_grade_default_check_finishes_within_a_timeout(tmp_path):
+    # The exact contraction's full grid holds 148,995 point sets here; its
+    # tableau sets, which decide the pass, are dim Y[4,4] = 5,292.
+    P = random_simple(seeded(15, 9, 6), 9, 6, 3)
+    assert len(P.terms) == comb(9, 6)
+    lines = "".join(pass_line(criterion, 9, 6) for criterion in CRITERIA)
+    assert check_in_child(P, tmp_path) == (0, lines + "result: simple\n")
 
 
 # -- relabeling ------------------------------------------------------------------
@@ -196,21 +207,33 @@ def reference_linear(P, criterion):
     return True, checked, None, None
 
 
+def tableaux(entries, m):
+    """The tableaux of shape (m, m) with the given increasing entries, as
+    (A, B) in lex order, by filtering every pair of columns: rows weakly
+    increase, A[t] <= B[t]."""
+    return [
+        (A, B)
+        for A in combinations(entries, m)
+        for B in combinations(entries, m)
+        if all(x <= y for x, y in zip(A, B))
+    ]
+
+
 def reference_optimal(P):
-    """The same for the optimal test, over every pair tuple of 1..n."""
+    """The same for the optimal test, over every semistandard coordinate of
+    1..n in its scan order: tableau (A, B) of shape (s-2, s-2), then the
+    4-subset above A's last entry.  Values come from the lex family's map."""
     n, k = P.dim, P.grade - 2
+    if k < 0:
+        return True, 0, None, None
     projection = project_tensor_square(P)
-    blocks = {}
-    for pairs, comp in projection:
-        blocks.setdefault(pairs, []).append(comp)
-    pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
-    per = len(list(combinations(range(n), 4)))
     checked = 0
-    for pairs in combinations_with_replacement(pair_list, k):
-        if pairs in blocks:
-            comp = min(blocks[pairs])
-            return False, checked + position(comp, n), (pairs, comp), (comp, projection[pairs, comp])
-        checked += per
+    for A, B in tableaux(range(1, n + 1), k):
+        pairs = tuple(zip(A, B))
+        for comp in combinations(range(A[-1] + 1 if A else 1, n + 1), 4):
+            checked += 1
+            if (pairs, comp) in projection:
+                return False, checked, (pairs, comp), (comp, projection[pairs, comp])
     return True, checked, None, None
 
 
@@ -261,31 +284,40 @@ def test_equations_checked_matches_a_full_reference_sweep(trial):
         assert (rep.verdict, rep.equations_checked, *got) == ref, (criterion, str(P))
 
 
-def grid(n):
-    """The covectors e^i, then e^i + e^j (i < j) in lex order, as coordinates."""
-    units = [tuple(int(x == i) for x in range(n)) for i in range(n)]
-    return units + [tuple(a + b for a, b in zip(u, v)) for u, v in combinations(units, 2)]
-
-
 def draws(n, m, trials, seed, bound):
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
         yield [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
 
 
+def tableau_sets(P, m):
+    """The exact mode's point sets: e^(I_t) + e^(J_t), or e^(I_t) when
+    I_t = J_t, for each tableau (I, J) of shape (m, m) over the indices P's
+    terms hold, as coordinates."""
+    n = P.dim
+    held = sorted({i for idx, _ in P.items() for i in idx})
+    return [
+        [tuple(int(x in (i, j)) for x in range(1, n + 1)) for i, j in zip(I, J)]
+        for I, J in tableaux(held, m)
+    ]
+
+
 def reference_contraction(P, k, mode, trials, seed, bound):
     """(verdict, equations_checked, witness equation) of the contraction
-    criterion from a scan over every m-set of the full grid (or every trial),
-    adding up the equations of each inner improved check."""
+    criterion from a scan over the tableau point sets (or every trial),
+    adding up the equations of each inner improved check.  A pass counts
+    one set per tableau over 1..n (or every trial)."""
     n, s = P.dim, P.grade
     inner = CRITERIA["improved"]
     if s == k:
         rep = inner(P)
         return rep.verdict, rep.equations_checked, rep.witness and rep.witness.equation
     if mode == "symbolic":
-        tuples = combinations(grid(n), s - k)
+        tuples = tableau_sets(P, s - k)
+        total = len(tableaux(range(1, n + 1), s - k))
     else:
         tuples = draws(n, s - k, trials, seed, bound)
+        total = trials
     checked = 0
     for t, coords in enumerate(tuples):
         covectors = [
@@ -296,7 +328,7 @@ def reference_contraction(P, k, mode, trials, seed, bound):
         checked += rep.equations_checked
         if not rep.verdict:
             return False, checked, (t, tuple(coords)) + rep.witness.equation
-    return True, checked, None
+    return True, total * comb(n, k - 2) * comb(n, k + 2), None
 
 
 def seeded_input(trial):
@@ -333,8 +365,6 @@ def test_contraction_matches_a_full_grid_reference(case):
     n, s = P.dim, P.grade
     for k in range(2, s + 1):
         for mode in ("symbolic", "randomized"):
-            if mode == "symbolic" and comb(n + comb(n, 2), s - k) > 1500:
-                continue  # a full-grid scan of that size is too slow here
             rep = contraction_criterion(P, k, mode, trials=6, seed=case, bound=2)
             equation = rep.witness.equation if rep.witness else None
             ref = reference_contraction(P, k, mode, trials=6, seed=case, bound=2)
@@ -350,9 +380,9 @@ SPARSE_STDOUT = {
     ("blade-12-4", "dual-improved"): (
         0, "dual-improved      true   equations=60984\nresult: simple\n"
     ),
-    ("blade-12-4", "optimal"): (0, "optimal            true   equations=1525095\nresult: simple\n"),
+    ("blade-12-4", "optimal"): (0, "optimal            true   equations=51480\nresult: simple\n"),
     ("blade-12-4", "contraction"): (
-        0, "contraction(k=2)   true   equations=1486485\nresult: simple\n"
+        0, "contraction(k=2)   true   equations=849420\nresult: simple\n"
     ),
     ("blade-12-5", "classical"): (0, "classical          true   equations=457380\nresult: simple\n"),
     ("blade-12-5", "dual"): (0, "dual               true   equations=457380\nresult: simple\n"),
@@ -361,10 +391,10 @@ SPARSE_STDOUT = {
         0, "dual-improved      true   equations=174240\nresult: simple\n"
     ),
     ("blade-12-5", "optimal"): (
-        0, "optimal            true   equations=40669200\nresult: simple\n"
+        0, "optimal            true   equations=141570\nresult: simple\n"
     ),
     ("blade-12-5", "contraction"): (
-        0, "contraction(k=2)   true   equations=37657620\nresult: simple\n"
+        0, "contraction(k=2)   true   equations=7786350\nresult: simple\n"
     ),
     ("face-12-3", "classical"): (0, "classical          true   equations=32670\nresult: simple\n"),
     ("face-12-3", "dual"): (0, "dual               true   equations=32670\nresult: simple\n"),
@@ -372,7 +402,7 @@ SPARSE_STDOUT = {
     ("face-12-3", "dual-improved"): (
         0, "dual-improved      true   equations=9504\nresult: simple\n"
     ),
-    ("face-12-3", "optimal"): (0, "optimal            true   equations=38610\nresult: simple\n"),
+    ("face-12-3", "optimal"): (0, "optimal            true   equations=8580\nresult: simple\n"),
     ("face-12-3", "contraction"): (
         0, "contraction(k=2)   true   equations=38610\nresult: simple\n"
     ),
@@ -402,13 +432,13 @@ SPARSE_STDOUT = {
     ),
     ("nonsimple-12-3", "optimal"): (
         1,
-        "optimal            false  equations=6833  witness: pairs=({2,3}), "
+        "optimal            false  equations=4283  witness: pairs=({2,3}), "
         "skew over e_{4,6,8,11}: coefficient = 1/6\n"
         "result: not-simple\n",
     ),
     ("nonsimple-12-3", "contraction"): (
         1,
-        "contraction(k=2)   false  equations=11783  witness: point 23, "
+        "contraction(k=2)   false  equations=893  witness: point 1, "
         "alphas=[(0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)]: Psi=e^{} "
         "-> component e_{4,6,8,11} = 2\n"
         "result: not-simple\n",

@@ -13,14 +13,13 @@ from plk import (
     equation_count,
     optimal_component_test,
     pairing,
-    project_tensor_square,
     verify_square_decomposition,
     wedge,
     young_dim,
 )
 from plk.multivector import mask_of
 from plk.randgen import random_nonsimple, random_simple, random_vector
-from plk.young import _two_column_tableaux
+from plk.young import _tableau_rank, _two_column_tableaux
 
 from reference import (
     _signed_perms,
@@ -30,6 +29,7 @@ from reference import (
     hook_lengths,
     isotypic_probe,
     partitions,
+    project_tensor_square,
     sn_character,
     standard_tableaux_count,
     two_column_partition,
@@ -157,6 +157,33 @@ def test_tableau_enumerator_is_a_lex_ordered_filter():
         for b in range(a + 1):
             got = list(_two_column_tableaux(indices, TwoColumnShape(a, b)))
             assert got == _semistandard_filter(indices, a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tableau_rank_counts_the_tableaux_listed_before(n):
+    # The plain rank, and the optimal test's scan order, in which a tableau
+    # stands for its C(n - A[-1], 4) coordinates, one per 4-subset above
+    # the last entry of its first column.  For the shapes (k, k) that sum is
+    # the dimension of the shape (k+4, k).
+    for a in range(n + 2):
+        for b in range(a + 1):
+            plain = scan = 0
+            for top, bottom in _two_column_tableaux(range(1, n + 1), TwoColumnShape(a, b)):
+                assert _tableau_rank(top, bottom, n) == plain, (top, bottom)
+                assert _tableau_rank(top, bottom, n, 4) == scan, (top, bottom)
+                plain += 1
+                scan += comb(n - (top[-1] if top else 0), 4)
+            if a == b:
+                assert scan == young_dim(n, TwoColumnShape(a + 4, b)), (n, a)
+
+
+def test_tableau_rank_is_quick_at_the_largest_dimension():
+    # a failing optimal check at n = 64 ranks its witness by the closed
+    # forms, not by listing the tableaux before it
+    top, bottom = tuple(range(20, 50)), tuple(range(21, 51))
+    assert _tableau_rank(top, bottom, 64, 4) > 0
+    last = tuple(range(35, 65))
+    assert _tableau_rank(last, last, 64) == young_dim(64, TwoColumnShape(30, 30)) - 1
 
 
 # -- tensor square decomposition ---------------------------------------------------
@@ -384,33 +411,63 @@ def _parity(seq):
     return -1 if inversions % 2 else 1
 
 
+def _merge(xy, zw):
+    """e_{x,y} ^ e_{z,w} for x < y and z < w: the sorted indices and the sign
+    of sorting (x, y, z, w), or None on a repeat."""
+    if set(xy) & set(zw):
+        return None
+    return tuple(sorted(xy + zw)), _parity(xy + zw)
+
+
 def _projection_reference(P):
     """The (s+2, s-2) projection, s >= 3, from its definition: for every
     ordered (s-2)-tuple u the 2-form D[u] has coefficient P(u, x, y) at
     e_{x,y}; the block of a pair tuple is the sum of D[u] ^ D[v] over the
-    ways to split the pairs into u and v, divided by 3 * 2**(s-2)."""
+    ways to split the pairs into u and v, divided by 3 * 2**(s-2).  P is
+    alternating, so D[u] is the sign of sorting u times D[sorted u]; the
+    wedge of two 2-forms is written out term by term, once per pair of
+    sorted tuples."""
     n, k = P.dim, P.grade - 2
-    d = {}
-    for u in permutations(range(1, n + 1), k):
+    forms = {}
+    for u in combinations(range(1, n + 1), k):
         rest = sorted(set(range(1, n + 1)) - set(u))
-        form = Multivector.from_terms(n, 2, [
-            ((x, y), _parity(u + (x, y)) * P.coeff(sorted(u + (x, y))))
+        form = {
+            (x, y): _parity(u + (x, y)) * P.coeff(sorted(u + (x, y)))
             for x, y in combinations(rest, 2)
-        ])
-        if not form.is_zero():
-            d[u] = form
+        }
+        form = {xy: c for xy, c in form.items() if c}
+        if form:
+            forms[u] = form
+    # ordered tuple -> (sign of sorting it, the sorted tuple), for nonzero D
+    d = {u: (_parity(u), tuple(sorted(u))) for u in permutations(range(1, n + 1), k)}
+    d = {u: sign_key for u, sign_key in d.items() if sign_key[1] in forms}
+    merged = {(xy, zw): _merge(xy, zw) for xy in combinations(range(1, n + 1), 2)
+              for zw in combinations(range(1, n + 1), 2)}
+    wedges = {}
+    sides = [((0,) + eps, (1,) + tuple(1 - e for e in eps)) for eps in product((0, 1), repeat=k - 1)]
     pair_list = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
     out = {}
     for pairs in combinations_with_replacement(pair_list, k):
-        block = Multivector.zero(n, 4)
-        for eps in product((0, 1), repeat=k - 1):
-            side = (0,) + eps
-            u = tuple(pairs[j][side[j]] for j in range(k))
-            v = tuple(pairs[j][1 - side[j]] for j in range(k))
-            if u in d and v in d:
-                block = block + wedge(d[u], d[v])
+        block = {}
+        for u_side, v_side in sides:
+            u = tuple(map(tuple.__getitem__, pairs, u_side))
+            v = tuple(map(tuple.__getitem__, pairs, v_side))
+            if u not in d or v not in d:
+                continue  # a repeated index, or a zero form
+            (su, ku), (sv, kv) = d[u], d[v]
+            if (ku, kv) not in wedges:
+                wedged = {}
+                for xy, a in forms[ku].items():
+                    for zw, b in forms[kv].items():
+                        if merged[xy, zw]:
+                            idx, sign = merged[xy, zw]
+                            wedged[idx] = wedged.get(idx, 0) + sign * a * b
+                wedges[ku, kv] = wedged
+            for idx, c in wedges[ku, kv].items():
+                block[idx] = block.get(idx, 0) + su * sv * c
         for idx, c in block.items():
-            out[(pairs, idx)] = Fraction(c, 3 * 2**k)
+            if c:
+                out[(pairs, idx)] = Fraction(c, 3 * 2**k)
     return out
 
 
