@@ -332,12 +332,9 @@ def contraction_criterion(
     if exact:
         label, shape = "point", young.TwoColumnShape(m, m)
         touched = touched_indices(P.terms)
-        # the terms of e^i + e^j, and of e^i when i = j (one key)
-        point_of = {
-            (i, j): {1 << (i - 1): 1, 1 << (j - 1): 1} for i in touched for j in touched if i <= j
-        }
+        # row t of a tableau gives the terms of e^(I_t) + e^(J_t), one key when I_t = J_t
         point_sets = (
-            [point_of[pair] for pair in zip(I, J)]
+            [{1 << (i - 1): 1, 1 << (j - 1): 1} for i, j in zip(I, J)]
             for I, J in young._two_column_tableaux(touched if len(touched) > s + 1 else (), shape)
         )
         total = young.young_dim(n, shape)
@@ -575,18 +572,14 @@ def three_plane_check(family: DecomposableFamily) -> ThreePlaneBranch:
     spaces has dimension at most k+1, or their common intersection has
     dimension at least k-1.  Returns which bound holds (or BOTH); a family
     satisfying neither would contradict the underlying lemma and raises
-    InvariantViolation.
+    InvariantViolation.  The span's dimension is the rank of all support
+    rows; the common intersection is taken once over all members, as the
+    complement of the sum of their complements.
     """
     k = family.grade
-    spaces = [support_space(p) for p in family.members]
-    all_rows = [row for sp in spaces for row in sp.coordinate_rows()]
-    span_dim = linalg.rank(all_rows)
-    inter = spaces[0].coordinate_rows()
-    for sp in spaces[1:]:
-        if not inter:
-            break
-        inter = linalg.intersect_row_spaces(inter, sp.coordinate_rows())
-    inter_dim = len(inter)
+    rows = [support_space(p).coordinate_rows() for p in family.members]
+    span_dim = linalg.rank([row for member in rows for row in member])
+    inter_dim = len(linalg.intersect_row_spaces(*rows))
     span_ok = span_dim <= k + 1
     inter_ok = inter_dim >= k - 1
     if span_ok and inter_ok:

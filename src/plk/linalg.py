@@ -85,13 +85,11 @@ def nullspace(rows: list[list[Coeff]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def intersect_row_spaces(
-    a_rows: list[list[Coeff]], b_rows: list[list[Coeff]]
-) -> list[list[Fraction]]:
-    """RREF basis of the intersection of two row spaces in Q^n."""
-    if not a_rows or not b_rows:
+def intersect_row_spaces(*row_sets: list[list[Coeff]]) -> list[list[Fraction]]:
+    """RREF basis of the intersection of one or more row spaces in Q^n."""
+    if not all(row_sets):
         return []
-    # The intersection is the orthogonal complement of the sum of the two
+    # The intersection is the orthogonal complement of the sum of the
     # complements, and each complement is a kernel.
-    n = len(a_rows[0])
-    return rref(nullspace(nullspace(a_rows, n) + nullspace(b_rows, n), n))[0]
+    n = len(row_sets[0][0])
+    return rref(nullspace([v for rows in row_sets for v in nullspace(rows, n)], n))[0]

@@ -236,7 +236,11 @@ def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict
     The entries are 2-forms, which commute, so d[u] ^ d[v] = d[v] ^ d[u]:
     eps and its complement give one wedge, so the first pair's side is
     fixed, and the splits that give one unordered {u, v} (as pairs (a, a)
-    do) are summed into one multiplicity before any wedge is formed.
+    do) are summed into one multiplicity before any wedge is formed.  On a
+    semistandard tableau's pairs, splits meet only by toggling a pair (a, a)
+    or by swapping u and v, which give equal sign products, so no
+    multiplicity sums to zero (and a zero one would add only zeros, which
+    are dropped).
     """
     k = len(pairs)
     splits: dict[tuple[int, int], int] = {}
@@ -250,8 +254,6 @@ def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict
         splits[key] = splits.get(key, 0) + su * sv
     block: dict[int, Coeff] = {}
     for (umask, vmask), times in splits.items():
-        if not times:
-            continue
         if umask == vmask:
             wedge = _square_terms(d[umask])
         else:

@@ -1,6 +1,7 @@
 """Exact rational row reduction, rank, nullspace, and subspace intersection."""
 
 from fractions import Fraction
+from functools import reduce
 
 from plk import linalg
 
@@ -72,6 +73,65 @@ def test_intersection_dimension_formula():
         for vec in inter:
             assert linalg.rank(a + [vec]) == linalg.rank(a)
             assert linalg.rank(b + [vec]) == linalg.rank(b)
+
+
+def _random_rows(rng, n, count):
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(count)]
+
+
+def _spanning_rows(rng, basis):
+    """Random combinations spanning ``basis`` (one redundant row), some of
+    them scaled by a Fraction."""
+    rows = []
+    for _ in range(len(basis) + 1):
+        row = [0] * len(basis[0])
+        for vec in basis:
+            c = rng.randint(-3, 3)
+            row = [x + c * y for x, y in zip(row, vec)]
+        if rng.random() < 0.5:
+            row = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) * x for x in row]
+        rows.append(row)
+    return rows
+
+
+def test_intersection_of_several_spaces_is_the_pairwise_fold():
+    # One call over 1-4 row sets in Q^6..Q^8 gives the RREF basis that
+    # folding the two-set call over them gives.  The sets share a random
+    # common part, so many intersections are nonzero.
+    rng = seeded(208)
+    nonzero = 0
+    for n in range(6, 9):
+        for count in range(1, 5):
+            for _ in range(8):
+                common = _random_rows(rng, n, rng.randint(0, 2))
+                sets = [
+                    _spanning_rows(rng, common + _random_rows(rng, n, rng.randint(1, 3)))
+                    for _ in range(count)
+                ]
+                got = linalg.intersect_row_spaces(*sets)
+                assert got == linalg.rref(reduce(linalg.intersect_row_spaces, sets))[0], sets
+                for rows in sets:
+                    assert all(linalg.rank(rows + [v]) == linalg.rank(rows) for v in got)
+                nonzero += bool(got)
+    assert nonzero > 20
+
+
+def test_intersection_of_several_spaces_edge_cases():
+    e = [[int(i == j) for i in range(6)] for j in range(6)]
+    # empty: pairwise nonzero, but nothing common to all three
+    a, b, c = [e[0], e[1]], [e[1], e[2]], [e[2], e[0]]
+    assert linalg.intersect_row_spaces(a, b) == [e[1]]
+    assert linalg.intersect_row_spaces(a, b, c) == []
+    assert linalg.intersect_row_spaces(a, [], b) == []
+    # equal spaces, given by different Fraction rows: the space itself
+    plane = [[Fraction(1, 2), 1, 0, 0, 0, 0], [0, 0, Fraction(2, 3), 1, 0, 0]]
+    same = [[1, 2, Fraction(4, 3), 2, 0, 0], [Fraction(-1, 2), -1, 0, 0, 0, 0]]
+    expected = linalg.rref(plane)[0]
+    assert linalg.intersect_row_spaces(plane, same) == expected
+    assert linalg.intersect_row_spaces(same, plane, same) == expected
+    # one space: its RREF basis; the whole of Q^6 meets a line in the line
+    assert linalg.intersect_row_spaces(same) == expected
+    assert linalg.intersect_row_spaces(e, [[0, 3, 0, 0, 0, 6]]) == [[0, 1, 0, 0, 0, 2]]
 
 
 # -- against an independent elimination ---------------------------------------------

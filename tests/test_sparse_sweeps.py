@@ -359,6 +359,8 @@ CONTRACTION_INPUTS = [
 ]
 
 
+# ``reference_contraction`` scans the tableau point sets, not the full grid;
+# the full grid is compared with them only in test_criteria's span test.
 @pytest.mark.parametrize("case", range(len(CONTRACTION_INPUTS)))
 def test_contraction_matches_a_full_grid_reference(case):
     P = CONTRACTION_INPUTS[case]

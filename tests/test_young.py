@@ -17,7 +17,7 @@ from plk import (
     wedge,
     young_dim,
 )
-from plk.multivector import mask_of
+from plk.multivector import mask_of, sorted_mask
 from plk.randgen import random_nonsimple, random_simple, random_vector
 from plk.young import _tableau_rank, _two_column_tableaux
 
@@ -520,3 +520,26 @@ def _is_semistandard(pairs, subset):
 def test_projection_empty_below_grade_two():
     assert project_tensor_square(Multivector.basis(4, (1,))) == {}
     assert project_tensor_square(Multivector.scalar(4, 3)) == {}
+
+
+def test_merged_split_multiplicities_are_nonzero():
+    # A projection block sums the splits of a tableau's pairs into u and v
+    # (the first pair's side fixed) that give one unordered {u, v} into one
+    # multiplicity.  Recomputed here from the signs of the index sequences,
+    # no such multiplicity is zero, so every merged split forms a wedge.
+    keys = 0
+    for n in range(1, 9):
+        for k in range(1, 5):
+            for top, bottom in _two_column_tableaux(range(1, n + 1), TwoColumnShape(k, k)):
+                pairs = list(zip(top, bottom))
+                times = {}
+                for eps in product((0, 1), repeat=k - 1):
+                    side = (0,) + eps
+                    umask, su = sorted_mask([p[e] for p, e in zip(pairs, side)])
+                    vmask, sv = sorted_mask([p[1 - e] for p, e in zip(pairs, side)])
+                    if su and sv:
+                        key = tuple(sorted((umask, vmask)))
+                        times[key] = times.get(key, 0) + su * sv
+                assert all(times.values()), (pairs, times)
+                keys += len(times)
+    assert keys > 1000
