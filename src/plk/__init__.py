@@ -5,12 +5,9 @@ from .multivector import (
     InputError,
     Multivector,
     SupportSpace,
-    contract_into,
     indices_of,
     interior,
     mask_of,
-    pairing,
-    sharp,
     shuffle_sign,
     support_space,
     wedge,

@@ -18,15 +18,14 @@ parity of the shuffle sorting S followed by T.  The pairing is the plain
 determinant pairing <e^S, e_T> = delta(S, T), with no 1/k! factors.  The
 interior product is the adjoint of wedging on the dual side,
 
-    <interior(phi, P), theta> = <P, phi ^ theta>,
+    <interior(phi, P), theta> = <P, phi ^ theta>.
 
-and ``contract_into`` is the adjoint of wedging on the primal side,
-
-    <contract_into(P, psi), Q> = <psi, P ^ Q>.
-
-These choices keep all structure constants integral and make the duality
-identity <P ^ i(phi)P, psi> = (-1)**(grade-1) <i(i_P psi)P, phi> hold;
-``tests/reference.py`` states it and the tests sweep it.
+These choices keep all structure constants integral.  The contraction
+i_P psi into covectors, the adjoint <i_P psi, Q> = <psi, P ^ Q> of wedging
+on the primal side, and the duality identity
+<P ^ i(phi)P, psi> = (-1)**(grade-1) <i(i_P psi)P, phi> that ties the two
+conventions together are stated from their definitions in
+``tests/reference.py``, and the tests sweep them.
 """
 
 from __future__ import annotations
@@ -395,10 +394,11 @@ def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int
 
 
 def contract_terms(p: Mapping[int, Coeff], psi: Mapping[int, Coeff]) -> dict[int, Coeff]:
-    """Terms of contract_into(p, psi): remove p's subsets from psi's.
+    """Terms of i_p(psi): remove p's subsets from psi's, which on terms is
+    the interior kernel with the roles swapped.
 
-    On terms this is the interior kernel with the roles swapped: the
-    vector's subsets are contracted out of the covector's.
+    No library code calls it; it stays only because the benchmark's tracer
+    binds it by name, until that binding goes (ROADMAP item 1).
     """
     return interior_terms(p, psi)
 
@@ -441,23 +441,6 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(a.dim, a.grade + b.grade, wedge_terms(a.terms, b.terms), a.dual)
 
 
-def pairing(psi: Multivector, p: Multivector) -> Coeff:
-    """Determinant pairing <psi, p> of a covector with a vector of equal grade."""
-    if not psi.dual or p.dual:
-        raise InputError("pairing takes (covector, vector)")
-    if psi.dim != p.dim:
-        raise InputError(f"dimension mismatch: {psi.dim} vs {p.dim}")
-    if psi.grade != p.grade:
-        raise InputError(f"grade mismatch: {psi.grade} vs {p.grade}")
-    total: Coeff = 0
-    small, big = (psi.terms, p.terms) if len(psi.terms) <= len(p.terms) else (p.terms, psi.terms)
-    for m, c in small.items():
-        other = big.get(m)
-        if other is not None:
-            total += c * other
-    return total
-
-
 def interior(phi: Multivector, p: Multivector) -> Multivector:
     """Interior product i(phi)p, the adjoint of phi ^ . on the dual side."""
     if not phi.dual or p.dual:
@@ -469,35 +452,6 @@ def interior(phi: Multivector, p: Multivector) -> Multivector:
             f"covector grade {phi.grade} exceeds vector grade {p.grade}"
         )
     return Multivector(p.dim, p.grade - phi.grade, interior_terms(phi.terms, p.terms))
-
-
-def contract_into(p: Multivector, psi: Multivector) -> Multivector:
-    """The covector i_p(psi), adjoint of p ^ . on the primal side."""
-    if p.dual or not psi.dual:
-        raise InputError("contract_into takes (vector, covector)")
-    if p.dim != psi.dim:
-        raise InputError(f"dimension mismatch: {p.dim} vs {psi.dim}")
-    if psi.grade < p.grade:
-        raise InputError(
-            f"covector grade {psi.grade} below vector grade {p.grade}"
-        )
-    return Multivector(
-        p.dim, psi.grade - p.grade, contract_terms(p.terms, psi.terms), dual=True
-    )
-
-
-def sharp(p: Multivector, phi: Multivector) -> Multivector:
-    """The vector interior(phi, p) for a covector of grade p.grade - 1.
-
-    Ranging phi over all such covectors sweeps out the support space of p.
-    """
-    if p.grade < 1:
-        raise InputError("sharp needs grade >= 1")
-    if phi.grade != p.grade - 1:
-        raise InputError(
-            f"covector grade must be {p.grade - 1}, got {phi.grade}"
-        )
-    return interior(phi, p)
 
 
 @dataclass(frozen=True)
@@ -540,7 +494,7 @@ def _support_rows(p: Multivector) -> list[list[Coeff]]:
 
 
 def support_space(p: Multivector) -> SupportSpace:
-    """Echelonized basis of span{ sharp(p, e^S) : |S| = grade - 1 }.
+    """Echelonized basis of span{ i(e^S)p : |S| = grade - 1 }.
 
     Every subspace U with p in Lambda^grade(U) contains the result; p is
     decomposable exactly when the rank equals the grade.  Only the subsets

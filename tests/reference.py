@@ -10,6 +10,10 @@ anything, so they live with the tests:
   character-weighted isotypic probes of P (x) P they drive (the paper's
   optimality remark: the Y[s,s] component of a nonzero P never vanishes,
   and the Y[s+2,s-2] component vanishes exactly on decomposable P);
+* the contraction i_P e^Q into covectors, the value of each linear
+  criterion's equation at one component, and Leibniz minors, all on
+  sorted index tuples with inversion-count signs (no bitmasks, no ``plk``
+  kernel);
 * the duality identity tying the two Pluecker formulations together,
   which pins the interior-product sign conventions;
 * the r-subsets inside a multivector's terms, which index the generators
@@ -38,10 +42,8 @@ from plk.multivector import (
     _Contractions,
     _is_int,
     _square_terms,
-    contract_into,
     indices_of,
     interior,
-    pairing,
     require_vector,
     sorted_mask,
     touched_indices,
@@ -49,6 +51,8 @@ from plk.multivector import (
     wedge_terms,
 )
 from plk.young import TwoColumnShape, _pair_block
+
+from util import pairing
 
 
 # -- shapes ----------------------------------------------------------------------
@@ -284,7 +288,102 @@ def isotypic_probe(
     return Fraction(fdim) * total / factorial(2 * s)
 
 
-# -- duality identity ------------------------------------------------------------
+# -- definitional contractions and the linear criteria's values -----------------
+#
+# P enters as its terms keyed by sorted index tuples (``dict(P.items())``);
+# a sign is the parity of the inversions between two tuples.
+
+
+def inversion_sign(a: Sequence[int], b: Sequence[int]) -> int:
+    """(-1)**inv, inv counting the pairs (x in a, y in b) with x > y: the
+    sign of sorting a followed by b."""
+    return -1 if sum(x > y for x in a for y in b) % 2 else 1
+
+
+def _minus(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x for x in big if x not in small)
+
+
+def basis_interior(terms: dict, S: tuple[int, ...]) -> dict[tuple[int, ...], Coeff]:
+    """i(e^S)P from <i(e^S)P, e^R> = <P, e^S ^ e^R>: the e_R coefficient is
+    sign(S, R) * P[S + R], nonzero only for R = T - S with S inside a term T."""
+    return {
+        _minus(T, S): inversion_sign(S, _minus(T, S)) * c
+        for T, c in terms.items()
+        if set(S) <= set(T)
+    }
+
+
+def basis_contraction(terms: dict, s: int, Q: tuple[int, ...]) -> dict[tuple[int, ...], Coeff]:
+    """i_P e^Q for P of grade s, from <i_P e^Q, e_U> = <e^Q, P ^ e_U>: the
+    e^U coefficient is sign(Q - U, U) * P[Q - U] for U inside Q, else 0."""
+    out = {}
+    for T in combinations(Q, s):  # T = Q - U
+        c = terms.get(T)
+        if c:
+            U = _minus(Q, T)
+            out[U] = inversion_sign(T, U) * c
+    return out
+
+
+def contract_by_definition(P: Multivector, psi: Multivector) -> Multivector:
+    """The covector i_P psi, the adjoint of P ^ . on the primal side, summed
+    over psi's basis covectors by ``basis_contraction``."""
+    terms, s = dict(P.items()), P.grade
+    out: dict[tuple[int, ...], Coeff] = {}
+    for Q, c in psi.items():
+        for U, v in basis_contraction(terms, s, Q).items():
+            out[U] = out.get(U, 0) + c * v
+    return Multivector.from_terms(P.dim, psi.grade - s, out.items(), dual=True)
+
+
+def linear_equation_value(
+    terms: dict, s: int, criterion: str, quantifier: tuple[int, ...], C: tuple[int, ...]
+) -> Coeff:
+    """The e_C coefficient of a linear criterion's equation for the grade-s
+    P with the given terms: (i(e^S)P) ^ P for the primal criteria (S the
+    quantifier), i(i_P e^Q)P for the dual ones (Q the quantifier).
+
+    The wedge's coefficient is the sum over A inside C of
+    phi[A] * P[C - A] * sign(A, C - A); the interior's is the sum over U of
+    psi[U] * P[U + C] * sign(U, C), for U disjoint from C.
+    """
+    if criterion in ("classical", "improved"):
+        phi = basis_interior(terms, quantifier)
+        return sum(
+            v * terms.get(_minus(C, A), 0) * inversion_sign(A, _minus(C, A))
+            for A, v in phi.items()
+            if set(A) <= set(C)
+        )
+    psi = basis_contraction(terms, s, quantifier)
+    return sum(
+        v * terms.get(tuple(sorted(U + C)), 0) * inversion_sign(U, C)
+        for U, v in psi.items()
+        if not set(U) & set(C)
+    )
+
+
+@lru_cache(maxsize=None)
+def _leibniz_signs(s: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(perm, (-1)**inversions) over the permutations of range(s)."""
+    return tuple(
+        (perm, -1 if sum(perm[i] > perm[j] for i, j in combinations(range(s), 2)) % 2 else 1)
+        for perm in permutations(range(s))
+    )
+
+
+def leibniz_minor(rows: Sequence[Sequence[Coeff]], columns: Sequence[int]) -> Coeff:
+    """The minor of ``rows`` on the given 0-based columns, as the Leibniz sum
+    over permutations with inversion-count signs."""
+    total: Coeff = 0
+    for perm, sign in _leibniz_signs(len(columns)):
+        term: Coeff = sign
+        for row, j in zip(rows, perm):
+            term *= row[columns[j]]
+            if not term:
+                break
+        total += term
+    return total
 
 
 def duality_identity_check(
@@ -306,7 +405,7 @@ def duality_identity_check(
     if not psi.dual or psi.grade != s + 1:
         raise InputError(f"psi must be a covector of grade {s + 1}")
     lhs = pairing(psi, wedge(P, interior(phi, P)))
-    rhs = pairing(phi, interior(contract_into(P, psi), P))
+    rhs = pairing(phi, interior(contract_by_definition(P, psi), P))
     return lhs == (rhs if (s - 1) % 2 == 0 else -rhs)
 
 

@@ -43,7 +43,13 @@ from plk.young import (
     young_dim,
 )
 
-from reference import duality_identity_check, isotypic_probe, project_tensor_square
+from reference import (
+    contract_by_definition,
+    duality_identity_check,
+    isotypic_probe,
+    leibniz_minor,
+    project_tensor_square,
+)
 from util import rand_mv, seeded, sparse_rank
 
 
@@ -452,6 +458,23 @@ def test_factorize_round_trip():
             assert from_factors(factors) == p
 
 
+def test_factor_minors_are_the_coefficients():
+    # The s x s minor of the factors on the columns I is P's coefficient at
+    # I, so zero off P's support: a Leibniz sum, with no wedge of factors.
+    rng = seeded(517)
+    off_support = 0
+    for n in range(2, 9):
+        for s in range(1, n):
+            for scale in (1, Fraction(1, 3)):
+                P = random_simple(rng, n, s, bound=2) * scale
+                rows = [[f.coeff((i,)) for i in range(1, n + 1)] for f in factorize(P)]
+                for I in combinations(range(1, n + 1), s):
+                    minor = leibniz_minor(rows, [i - 1 for i in I])
+                    assert minor == P.coeff(I), (str(P), I)
+                    off_support += not minor
+    assert off_support
+
+
 def test_factorize_zero_and_scalar():
     z = factorize(Multivector.zero(4, 2))
     assert from_factors(z).is_zero()
@@ -699,9 +722,7 @@ def test_witness_soundness_linear_criteria():
             if rebuild in ("classical", "improved"):
                 out = wedge(interior(cov, p), p)
             else:
-                from plk import contract_into
-
-                out = interior(contract_into(p, cov), p)
+                out = interior(contract_by_definition(p, cov), p)
             assert not out.is_zero()
             assert out.coeff(rep.witness.component) == rep.witness.value != 0
     assert hit > 50  # random multivectors at these grades are rarely simple

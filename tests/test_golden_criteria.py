@@ -13,9 +13,11 @@ import pytest
 
 from plk import Multivector, wedge
 from plk.cli import main
+from plk.criteria import CRITERIA
 from plk.randgen import random_nonsimple, random_simple
 from plk.serialize import dump
 
+from reference import linear_equation_value
 from util import seeded
 
 LINEAR = ("classical", "dual", "improved", "dual-improved")
@@ -83,6 +85,26 @@ def test_linear_criterion_stdout_is_golden(name, criterion, tmp_path, capsys):
     assert run_cli(capsys, "check", "--criterion", criterion, path) == (
         LINEAR_STDOUT[(name, criterion)]
     )
+
+
+def test_linear_witness_values_match_the_definitions():
+    # Every failing linear criterion's witness value, re-evaluated on index
+    # tuples with inversion signs: i(e^S)P ^ P or i(i_P e^Q)P at the witness
+    # component, int and Fraction inputs alike.
+    failing = 0
+    for name in INPUTS:
+        P = golden_input(name)
+        terms = dict(P.items())
+        for criterion in LINEAR:
+            rep = CRITERIA[criterion](P)
+            if rep.verdict:
+                continue
+            failing += 1
+            w = rep.witness
+            (quantifier,) = w.equation
+            value = linear_equation_value(terms, P.grade, criterion, quantifier, w.component)
+            assert value == w.value != 0, (name, criterion)
+    assert failing == 6 * len(LINEAR)  # the six non-decomposable inputs
 
 
 def test_linear_criterion_json_is_golden(tmp_path, capsys):

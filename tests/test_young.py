@@ -12,7 +12,6 @@ from plk import (
     TwoColumnShape,
     equation_count,
     optimal_component_test,
-    pairing,
     verify_square_decomposition,
     wedge,
     young_dim,
@@ -34,7 +33,7 @@ from reference import (
     standard_tableaux_count,
     two_column_partition,
 )
-from util import rand_mv, seeded, sparse_rank
+from util import pairing, rand_mv, seeded, sparse_rank
 
 
 def probes(rng, dim, count, bound=10):

@@ -7,7 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from plk import Multivector, pairing, wedge
+from plk import Multivector, wedge
+from plk.linalg import Coeff
 from plk.multivector import basis_subsets, mask_of
 
 
@@ -58,6 +59,13 @@ def sparse_rank(rows) -> int:
                 else:
                     del row[col]
     return len(pivots)
+
+
+def pairing(psi: Multivector, p: Multivector) -> Coeff:
+    """Determinant pairing <psi, p> = sum over S of psi[S] * p[S], no 1/k!,
+    of a covector with a vector of equal grade."""
+    assert psi.dual and not p.dual and (psi.dim, psi.grade) == (p.dim, p.grade)
+    return sum(c * p.terms[m] for m, c in psi.terms.items() if m in p.terms)
 
 
 def interior_by_adjunction(phi: Multivector, p: Multivector) -> Multivector:
