@@ -27,7 +27,6 @@ the zero multivector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -40,9 +39,11 @@ from .multivector import (
     InputError,
     Multivector,
     _Contractions,
+    _Record,
     _cleared,
     _is_int,
     _nonzero,
+    _store,
     _support_rows,
     check_dim,
     indices_of,
@@ -60,8 +61,7 @@ class InvariantViolation(RuntimeError):
     """A mathematically guaranteed invariant failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """First failing equation of a criterion run.
 
     ``equation`` identifies the equation (criterion-specific: the quantifier
@@ -69,17 +69,19 @@ class Witness:
     ``component`` the nonzero output component, ``value`` its coefficient.
     """
 
-    equation: tuple
-    component: tuple[int, ...]
-    value: Coeff
-    text: str
+    __slots__ = ("equation", "component", "value", "text")
+
+    def __init__(self, equation: tuple, component: tuple[int, ...], value: Coeff, text: str):
+        _store(self, "equation", equation)
+        _store(self, "component", component)
+        _store(self, "value", value)
+        _store(self, "text", text)
 
     def __str__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Record):
     """Verdict of one criterion run, with the work it took.
 
     ``equations_checked`` counts, per criterion:
@@ -99,16 +101,25 @@ class CriterionReport:
     * the oracle: the C(n, s-1) generators of the support space.
     """
 
-    criterion: str
-    verdict: bool
-    equations_checked: int
-    witness: Witness | None = None
-    probabilistic: bool = False
-    seed: int | None = None
+    __slots__ = ("criterion", "verdict", "equations_checked", "witness", "probabilistic", "seed")
 
-    def __post_init__(self):
-        if self.verdict == (self.witness is not None):
+    def __init__(
+        self,
+        criterion: str,
+        verdict: bool,
+        equations_checked: int,
+        witness: Witness | None = None,
+        probabilistic: bool = False,
+        seed: int | None = None,
+    ):
+        if verdict == (witness is not None):
             raise ValueError("witness must be present exactly when the verdict is false")
+        _store(self, "criterion", criterion)
+        _store(self, "verdict", verdict)
+        _store(self, "equations_checked", equations_checked)
+        _store(self, "witness", witness)
+        _store(self, "probabilistic", probabilistic)
+        _store(self, "seed", seed)
 
 
 def _fmt(idx: Sequence[int]) -> str:
@@ -328,7 +339,10 @@ def contraction_criterion(
     exact = mode == "symbolic"
     report_seed = None if exact else seed
     if m == 0:
-        return replace(_sweep(n, s, P.terms, "improved"), criterion=name, seed=report_seed)
+        sweep = _sweep(n, s, P.terms, "improved")
+        return CriterionReport(
+            name, sweep.verdict, sweep.equations_checked, sweep.witness, seed=report_seed
+        )
     if exact:
         label, shape = "point", young.TwoColumnShape(m, m)
         touched = touched_indices(P.terms)
@@ -528,16 +542,15 @@ class ThreePlaneBranch(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class DecomposableFamily:
+class DecomposableFamily(_Record):
     """A family of nonzero decomposable k-vectors with decomposable pairwise
     sums; both properties are validated on construction."""
 
-    members: tuple[Multivector, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, members: Sequence[Multivector]):
+        members = tuple(members)
+        _store(self, "members", members)
         if not members:
             raise InputError("family must be nonempty")
         first = members[0]

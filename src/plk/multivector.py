@@ -30,7 +30,6 @@ conventions together are stated from their definitions in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -43,6 +42,46 @@ from .linalg import Coeff
 
 class InputError(ValueError):
     """Malformed or incompatible operand."""
+
+
+_store = object.__setattr__  # writes a record's slot past its __setattr__
+
+
+class _Record:
+    """Base of the immutable records (reports, witnesses, shapes, families,
+    support spaces).  Equality by class and field tuple, hashing of the field
+    tuple and the ``Name(field=value, ...)`` repr are read from ``__slots__``,
+    whose order is the ``__init__`` parameter order.  Assignment and deletion
+    raise AttributeError, so each ``__init__`` writes its slots with
+    ``_store``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which revalidates
+        return self.__class__, self._values()
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -454,12 +493,14 @@ def interior(phi: Multivector, p: Multivector) -> Multivector:
     return Multivector(p.dim, p.grade - phi.grade, interior_terms(phi.terms, p.terms))
 
 
-@dataclass(frozen=True)
-class SupportSpace:
+class SupportSpace(_Record):
     """Row-echelon basis of the minimal subspace U with p in Lambda^grade(U)."""
 
-    dim: int
-    basis: tuple[Multivector, ...]
+    __slots__ = ("dim", "basis")
+
+    def __init__(self, dim: int, basis: tuple[Multivector, ...]):
+        _store(self, "dim", dim)
+        _store(self, "basis", basis)
 
     @property
     def rank(self) -> int:

@@ -13,7 +13,6 @@ same tableaux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from math import comb
 from typing import Iterator, Mapping, Sequence
@@ -23,9 +22,11 @@ from .multivector import (
     InputError,
     Multivector,
     _Contractions,
+    _Record,
     _is_int,
     _nonzero,
     _square_terms,
+    _store,
     check_dim,
     require_vector,
     sorted_mask,
@@ -42,23 +43,19 @@ def comb0(n: int, k: int) -> int:
 # -- shapes and dimensions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoColumnShape:
+class TwoColumnShape(_Record):
     """Young shape with two columns of heights first_col >= second_col >= 0."""
 
-    first_col: int
-    second_col: int
+    __slots__ = ("first_col", "second_col")
 
-    def __post_init__(self):
-        if not (
-            _is_int(self.first_col)
-            and _is_int(self.second_col)
-            and 0 <= self.second_col <= self.first_col
-        ):
+    def __init__(self, first_col: int, second_col: int):
+        if not (_is_int(first_col) and _is_int(second_col) and 0 <= second_col <= first_col):
             raise InputError(
                 f"column heights must satisfy first >= second >= 0, "
-                f"got ({self.first_col}, {self.second_col})"
+                f"got ({first_col}, {second_col})"
             )
+        _store(self, "first_col", first_col)
+        _store(self, "second_col", second_col)
 
     def __str__(self) -> str:
         return f"Y[{self.first_col},{self.second_col}]"
@@ -79,25 +76,35 @@ def young_dim(n: int, shape: TwoColumnShape) -> int:
     return comb(n, a) * comb(n + 1, b) * (a - b + 1) // (a + 1)
 
 
-@dataclass(frozen=True)
-class DimensionIdentity:
-    name: str
-    lhs: int
-    rhs: int
+class DimensionIdentity(_Record):
+    __slots__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: int, rhs: int):
+        _store(self, "name", name)
+        _store(self, "lhs", lhs)
+        _store(self, "rhs", rhs)
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class SquareDecompositionReport:
+class SquareDecompositionReport(_Record):
     """The tensor square of Lambda^s(Q^n) split into two-column components."""
 
-    n: int
-    s: int
-    dims: tuple[tuple[TwoColumnShape, int], ...]
-    identities: tuple[DimensionIdentity, ...]
+    __slots__ = ("n", "s", "dims", "identities")
+
+    def __init__(
+        self,
+        n: int,
+        s: int,
+        dims: tuple[tuple[TwoColumnShape, int], ...],
+        identities: tuple[DimensionIdentity, ...],
+    ):
+        _store(self, "n", n)
+        _store(self, "s", s)
+        _store(self, "dims", dims)
+        _store(self, "identities", identities)
 
     @property
     def passed(self) -> bool:

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import plk
 from plk import Multivector, from_factors, run_all_criteria, wedge
 from plk.cli import main
 from plk.criteria import COUNTED, CRITERIA, equation_count, run_criterion
@@ -575,3 +577,18 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stdout.endswith("result: not-simple\n")
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # -S skips site, so no module that a .pth file imports can hide a regression
+    src = str(Path(plk.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import plk.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -12,11 +13,18 @@ from plk.linalg import Coeff
 from plk.multivector import basis_subsets, mask_of
 
 
+@cache
+def _lex_masks(dim, grade):
+    """The masks of all grade-subsets of 1..dim in lex order, built once;
+    ``Random.sample`` picks by length alone, so sampling the shared tuple
+    draws what sampling a fresh list did."""
+    return tuple(mask_of(c) for c in combinations(range(1, dim + 1), grade))
+
+
 def rand_terms(rng, dim, grade, bound=9, max_terms=None, rational=False):
     total = comb(dim, grade)
     cap = min(max_terms or total, total)
-    masks = [mask_of(c) for c in combinations(range(1, dim + 1), grade)]
-    chosen = rng.sample(masks, rng.randint(1, cap))
+    chosen = rng.sample(_lex_masks(dim, grade), rng.randint(1, cap))
     terms = {}
     for m in chosen:
         if rational:
