@@ -40,6 +40,7 @@ from .multivector import (
     Multivector,
     _Contractions,
     _Record,
+    _Wedges,
     _cleared,
     _is_int,
     _nonzero,
@@ -172,7 +173,7 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
 
     P is read through one lazy table of its basis contractions i(e^u)P.  A
-    primal equation wedges the entry at S onto P.  A dual equation first
+    primal equation wedges the entry D at S onto P.  A dual equation first
     contracts into e^Q the terms of P at the s-subsets of Q, the only ones
     i_P e^Q reads; that gives a d-covector, whose interior product with P is
     a sum of the table's entries at d-subsets of Q.
@@ -180,10 +181,18 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     A witness is the lex-first nonzero component of its equation.  In a
     primal equation, the components that hold P's lowest index t come first;
     they come from the pairs of terms of which exactly one holds t (the
-    "head" of P or of the entry; the rest is the "tail").  So those pairs are
+    "head" of P or of D; the rest is the "tail").  So those pairs are
     summed first, and the tail ^ tail pairs only when that sum is 0.  With S
     empty, P ^ P is 0 at s = 1 and 2 head ^ tail at s = 2 (if head ^ tail = 0,
     tail = a ^ b for head = e_t ^ a, so tail ^ tail = 0).
+
+    The first visited primal equation wedges D's parts onto P's directly:
+    most failures stop there.  Once it passes, the sweep reads P's wedges
+    through two lazy tables, e_u ^ head and e_u ^ tail, so the head sum is
+    the sum of D[u] times the tail entry for u in D's head and the head
+    entry for u in its tail, and the tail sum that of D[u] times the tail
+    entry for u in D's tail.  Every entry is reused by each later S whose D
+    holds u, and summing entries takes no overlap test and no sign.
     """
     shift, dual = _LINEAR[name]
     if s < shift:
@@ -196,6 +205,7 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     if not dual:
         low = bits[0] if bits else 0
         head, tail = _split(terms, low)
+        with_tail = None
     for sub in combinations(bits, quant_grade):
         Q = sum(sub)
         if dual:
@@ -203,10 +213,16 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
             out = table.interior(interior_terms(inside, {Q: 1}))
         elif Q:
             a_head, a_tail = _split(table[Q], low)
-            out = wedge_terms(a_head, tail)
-            for m, c in wedge_terms(a_tail, head).items():
-                out[m] = out.get(m, 0) + c
-            out = _nonzero(out) or wedge_terms(a_tail, tail)
+            if with_tail is None:  # the first equation wedges directly
+                out = wedge_terms(a_head, tail)
+                for m, c in wedge_terms(a_tail, head).items():
+                    out[m] = out.get(m, 0) + c
+                out = _nonzero(out) or wedge_terms(a_tail, tail)
+                if not out:  # it passed, so the sweep goes on: tabulate
+                    with_head, with_tail = _Wedges(head), _Wedges(tail)
+            else:
+                out = with_tail.wedge_into({}, a_head)
+                out = _nonzero(with_head.wedge_into(out, a_tail)) or with_tail.wedge(a_tail)
         else:  # P ^ P: 2 head ^ tail at s = 2, 0 at s = 1
             out = {m: 2 * c for m, c in wedge_terms(head, tail).items()} if s % 2 == 0 else {}
         if out:
@@ -265,10 +281,34 @@ def dual_improved_pluecker(P: Multivector) -> CriterionReport:
 
 
 def _random_points(n, m, trials, seed, bound):
+    """(points, phi) per trial: m seeded covectors and their wedge."""
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
         coords = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
-        yield [{1 << i: c for i, c in enumerate(vec) if c} for vec in coords]
+        points = [{1 << i: c for i, c in enumerate(vec) if c} for vec in coords]
+        yield points, reduce(wedge_terms, points)
+
+
+def _tableau_points(indices, shape):
+    """(points, phi) per tableau (I, J) of ``shape`` over ``indices``, in lex
+    order: row t gives the terms of e^(I_t) + e^(J_t), one key when I_t = J_t,
+    and phi is the left-to-right wedge of the points.  Tableaux share their
+    leading rows, so the wedge of each proper row prefix is kept, keyed by
+    the prefix, and phi costs one wedge past its longest kept prefix."""
+    prefixes = {}
+    for I, J in young._two_column_tableaux(indices, shape):
+        rows = tuple(zip(I, J))
+        points = [{1 << (i - 1): 1, 1 << (j - 1): 1} for i, j in rows]
+        phi = points[0]
+        for t in range(1, len(rows)):
+            prefix = rows[: t + 1]
+            kept = prefixes.get(prefix)
+            if kept is None:
+                kept = wedge_terms(phi, points[t])
+                if t + 1 < len(rows):
+                    prefixes[prefix] = kept
+            phi = kept
+        yield points, phi
 
 
 def contraction_criterion(
@@ -307,14 +347,15 @@ def contraction_criterion(
     [-bound, bound]: a nonzero evaluation certifies failure, while an
     all-zero run yields a pass flagged as probabilistic.
 
-    Both modes loop over sets of m sparse covectors, read i(phi)P through
-    one lazy table of P's basis contractions, and check it with the improved
-    relations, which decide decomposability for every k >= 2 (with k = s,
-    the improved sweep of P).  ``equations_checked`` counts C(n,k-2)*C(n,k+2)
-    per set or trial: on a pass, for all dim Y[m,m] tableaux over 1..n or
-    all trials; on a failure, for the t sets or trials before the witness,
-    plus the witness check's own.  The witness names the failing set or
-    trial by t, with its coordinate tuples ``alphas``.
+    Both modes loop over sets of m sparse covectors (the exact mode wedges
+    each set's phi onto the kept wedge of its longest seen row prefix), read
+    i(phi)P through one lazy table of P's basis contractions, and check it
+    with the improved relations, which decide decomposability for every
+    k >= 2 (with k = s, the improved sweep of P).  ``equations_checked``
+    counts C(n,k-2)*C(n,k+2) per set or trial: on a pass, for all dim Y[m,m]
+    tableaux over 1..n or all trials; on a failure, for the t sets or trials
+    before the witness, plus the witness check's own.  The witness names the
+    failing set or trial by t, with its coordinate tuples ``alphas``.
     """
     require_vector(P, "P")
     if not _is_int(k) or k < 2:
@@ -346,19 +387,15 @@ def contraction_criterion(
     if exact:
         label, shape = "point", young.TwoColumnShape(m, m)
         touched = touched_indices(P.terms)
-        # row t of a tableau gives the terms of e^(I_t) + e^(J_t), one key when I_t = J_t
-        point_sets = (
-            [{1 << (i - 1): 1, 1 << (j - 1): 1} for i, j in zip(I, J)]
-            for I, J in young._two_column_tableaux(touched if len(touched) > s + 1 else (), shape)
-        )
+        point_sets = _tableau_points(touched if len(touched) > s + 1 else (), shape)
         total = young.young_dim(n, shape)
     else:
         label = "trial"
         point_sets, total = _random_points(n, m, trials, seed, bound), trials
     table = _Contractions(P.terms)
     per = comb0(n, k - 2) * comb0(n, k + 2)
-    for t, points in enumerate(point_sets):
-        rep = _sweep(n, k, table.interior(reduce(wedge_terms, points)), "improved")
+    for t, (points, phi) in enumerate(point_sets):
+        rep = _sweep(n, k, table.interior(phi), "improved")
         if not rep.verdict:
             alphas = [tuple(a.get(1 << x, 0) for x in range(n)) for a in points]
             witness = Witness(

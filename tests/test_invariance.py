@@ -1,6 +1,7 @@
 """Metamorphic tests: decomposability is invariant under signed index
 permutations, nonzero scalings, GL(n, Z) and the Hodge complement, so every
-verdict must be too."""
+verdict must be too.  A scaling by lam also keeps every count and witness
+position, and scales each witness value by lam**2."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -40,8 +41,27 @@ def verdicts(p):
     return [(rep.criterion, rep.verdict) for rep in run_all_criteria(p)]
 
 
+def assert_scaled(reports, scaled, lam):
+    """The reports of lam * P against those of P: every verdict, count and
+    witness position stays; a witness value scales by exactly lam**2 (each
+    equation is quadratic in P), except the oracle's, a rank, which stays."""
+    assert len(scaled) == len(reports)
+    for rep, got in zip(reports, scaled):
+        assert (got.criterion, got.verdict, got.equations_checked) == (
+            rep.criterion, rep.verdict, rep.equations_checked
+        ), lam
+        if rep.witness is None:
+            assert got.witness is None, (rep.criterion, lam)
+            continue
+        w, v = rep.witness, got.witness
+        assert (v.equation, v.component) == (w.equation, w.component), (rep.criterion, lam)
+        factor = 1 if rep.criterion == "oracle" else lam * lam
+        assert v.value == factor * w.value, (rep.criterion, lam)
+
+
 def test_signed_permutations_and_scalings_keep_every_verdict():
     rng = seeded(901)
+    witnessed = set()
     # each cell twice, with two different scales
     cases = [(n, s, SCALES[(pos + rnd) % len(SCALES)])
              for rnd in range(2) for pos, (n, s) in enumerate(CELLS)]
@@ -52,7 +72,11 @@ def test_signed_permutations_and_scalings_keep_every_verdict():
             perm = dict(zip(range(1, n + 1), images))
             signs = {i: rng.choice((1, -1)) for i in range(1, n + 1)}
             q = act(perm, signs, p, scale)
-            before = verdicts(p)
+            reports = run_all_criteria(p)
+            witnessed.update(rep.criterion for rep in reports if rep.witness)
+            for lam in SCALES:
+                assert_scaled(reports, run_all_criteria(p * lam), lam)
+            before = [(rep.criterion, rep.verdict) for rep in reports]
             assert verdicts(q) == before, (str(p), str(q))
             assert kernel_dimension(q) == kernel_dimension(p), str(p)
             if all(verdict for _, verdict in before):
@@ -60,6 +84,7 @@ def test_signed_permutations_and_scalings_keep_every_verdict():
                 factors = [f.terms for f in factorize(q)]
                 assert sparse_rank(moved) == sparse_rank(factors) == s, str(p)
                 assert sparse_rank(moved + factors) == s, (str(p), str(q))
+    assert witnessed == {rep.criterion for rep in reports}  # every criterion failed somewhere
 
 
 def unimodular(rng, n, steps=8):

@@ -283,6 +283,30 @@ def test_equations_checked_matches_a_full_reference_sweep(trial):
         assert (rep.verdict, rep.equations_checked, *got) == ref, (criterion, str(P))
 
 
+def test_reference_inputs_reach_both_sums_of_the_wedge_tables():
+    # A primal sweep wedges its first visited quantifier directly and sums
+    # the later ones from its wedge tables: their head sum gives components
+    # that hold P's lowest touched index, their tail sum the others.  Some
+    # reference witnesses must come from each, and the tables must agree
+    # with the reference on Fraction-scaled copies of those inputs too.
+    kinds = set()
+    for trial in range(112):
+        P = reference_input(trial)
+        held = sorted({i for idx, _ in P.items() for i in idx})
+        for criterion, shift in (("classical", 1), ("improved", 2)):
+            w = CRITERIA[criterion](P).witness
+            if w is None or w.equation == (tuple(held[: P.grade - shift]),):
+                continue
+            kinds.add(held[0] in w.component)
+            Q = P * Fraction(1, 3)
+            rep = CRITERIA[criterion](Q)
+            got = (rep.witness.equation, (rep.witness.component, rep.witness.value))
+            assert (rep.verdict, rep.equations_checked, *got) == reference_linear(
+                Q, criterion
+            ), (trial, criterion)
+    assert kinds == {True, False}
+
+
 def draws(n, m, trials, seed, bound):
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
