@@ -20,8 +20,16 @@ are all validated against:
 The four Pluecker-type criteria (classical, dual, improved, dual-improved)
 are linear in the quantified covector, so checking basis covectors in
 lexicographic order is exact; reports carry the first failing equation as a
-witness.  Degenerate grades (0 and 1) are decomposable by convention, as is
-the zero multivector.
+witness.  One sweep serves all four (``_sweep``).  It evaluates equations
+directly up to the first with a nonempty operand, where most failures stop;
+past it, one packed pass decides every equation from P's pair sums
+(``_pair_sums``): each equation is a signed sum of products P[a] * P[b],
+and big ints with one slot per equation (or component) add them in C.  A
+slot is wide enough for the largest sum it can hold, so it is 0 exactly
+when its equation is.  The first failing equation the pass names is then
+evaluated directly on P, so witnesses and counts are those of the
+one-at-a-time sweep.  Degenerate grades (0 and 1) are decomposable by
+convention, as is the zero multivector.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg, young
 from .multivector import (
@@ -40,11 +48,11 @@ from .multivector import (
     Multivector,
     _Contractions,
     _Record,
-    _Wedges,
     _cleared,
     _is_int,
     _nonzero,
     _store,
+    _suffix_parity,
     _support_rows,
     check_dim,
     indices_of,
@@ -172,27 +180,29 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     Covectors outside the indices P touches give zero equations (i(e^S)P needs
     S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
 
-    P is read through one lazy table of its basis contractions i(e^u)P.  A
-    primal equation wedges the entry D at S onto P.  A dual equation first
-    contracts into e^Q the terms of P at the s-subsets of Q, the only ones
-    i_P e^Q reads; that gives a d-covector, whose interior product with P is
-    a sum of the table's entries at d-subsets of Q.
+    Equations are first evaluated one at a time, in lex order, up to and
+    including the first whose operand is nonempty; most failures stop there.
+    A primal equation wedges the entry D = i(e^S)P of a lazy table of P's
+    basis contractions onto P.  A dual equation first contracts into e^Q the
+    terms of P at the s-subsets of Q, the only ones i_P e^Q reads; that gives
+    a d-covector, whose interior product with P is a sum of the table's
+    entries at d-subsets of Q.  A witness is the lex-first nonzero component
+    of its equation.  In a primal equation, the components that hold P's
+    lowest index t come first; they come from the pairs of terms of which
+    exactly one holds t (the "head" of P or of D; the rest is the "tail").
+    So those pairs are summed first, and the tail ^ tail pairs only when that
+    sum is 0.  With S empty, P ^ P is 0 at s = 1 and 2 head ^ tail at s = 2
+    (if head ^ tail = 0, tail = a ^ b for head = e_t ^ a, so tail ^ tail = 0).
 
-    A witness is the lex-first nonzero component of its equation.  In a
-    primal equation, the components that hold P's lowest index t come first;
-    they come from the pairs of terms of which exactly one holds t (the
-    "head" of P or of D; the rest is the "tail").  So those pairs are
-    summed first, and the tail ^ tail pairs only when that sum is 0.  With S
-    empty, P ^ P is 0 at s = 1 and 2 head ^ tail at s = 2 (if head ^ tail = 0,
-    tail = a ^ b for head = e_t ^ a, so tail ^ tail = 0).
-
-    The first visited primal equation wedges D's parts onto P's directly:
-    most failures stop there.  Once it passes, the sweep reads P's wedges
-    through two lazy tables, e_u ^ head and e_u ^ tail, so the head sum is
-    the sum of D[u] times the tail entry for u in D's head and the head
-    entry for u in its tail, and the tail sum that of D[u] times the tail
-    entry for u in D's tail.  Every entry is reused by each later S whose D
-    holds u, and summing entries takes no overlap test and no sign.
+    Once that equation passes and more quantifiers follow, one packed pass
+    (``_first_failure``) decides every equation at once and names the first
+    failing quantifier, if any.  Each equation is a signed sum of products of
+    two coefficients of P; ``_pair_sums`` adds them up in big ints, one slot
+    per equation (primal) or component (dual), each slot wide enough for the
+    largest sum it can hold, so a slot is 0 exactly when its equation's
+    component is.  The failing equation is then evaluated directly on P, as
+    above, so the witness, its value (a Fraction on Fraction input) and the
+    count do not depend on the packed pass.
     """
     shift, dual = _LINEAR[name]
     if s < shift:
@@ -200,43 +210,137 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     table = _Contractions(terms)
     quant_grade, out_grade = (s + shift, s - shift) if dual else (s - shift, s + shift)
     per_equation = comb0(n, out_grade)
-    symbol = "Phi" if name == "classical" else "Psi"
     bits = [1 << (i - 1) for i in touched_indices(terms)]
-    if not dual:
-        low = bits[0] if bits else 0
-        head, tail = _split(terms, low)
-        with_tail = None
-    for sub in combinations(bits, quant_grade):
-        Q = sum(sub)
+    low = bits[0] if bits else 0
+
+    def operand(Q: int) -> Mapping[int, Coeff]:
+        """The terms the equation at Q reads: P's terms inside Q, or i(e^S)P."""
         if dual:
-            inside = {m: terms[m] for m in map(sum, combinations(sub, s)) if m in terms}
-            out = table.interior(interior_terms(inside, {Q: 1}))
-        elif Q:
-            a_head, a_tail = _split(table[Q], low)
-            if with_tail is None:  # the first equation wedges directly
-                out = wedge_terms(a_head, tail)
-                for m, c in wedge_terms(a_tail, head).items():
-                    out[m] = out.get(m, 0) + c
-                out = _nonzero(out) or wedge_terms(a_tail, tail)
-                if not out:  # it passed, so the sweep goes on: tabulate
-                    with_head, with_tail = _Wedges(head), _Wedges(tail)
-            else:
-                out = with_tail.wedge_into({}, a_head)
-                out = _nonzero(with_head.wedge_into(out, a_tail)) or with_tail.wedge(a_tail)
-        else:  # P ^ P: 2 head ^ tail at s = 2, 0 at s = 1
-            out = {m: 2 * c for m, c in wedge_terms(head, tail).items()} if s % 2 == 0 else {}
-        if out:
-            S = indices_of(Q)
-            comp, val = _first_component(out)
-            checked = (subset_rank(S, n) - 1) * per_equation + subset_rank(comp, n)
-            witness = Witness(
-                equation=(S,),
-                component=comp,
-                value=val,
-                text=f"{symbol}=e^{{{_fmt(S)}}} -> component e_{{{_fmt(comp)}}} = {val}",
-            )
-            return CriterionReport(name, False, checked, witness)
-    return CriterionReport(name, True, comb0(n, quant_grade) * per_equation)
+            inside = [b for b in bits if Q & b]
+            return {m: terms[m] for m in map(sum, combinations(inside, s)) if m in terms}
+        return table[Q] if Q else terms
+
+    def equation(Q: int, a: Mapping[int, Coeff]) -> dict:
+        """The nonzero components of the equation at Q, whose operand is a."""
+        if dual:
+            return table.interior(interior_terms(a, {Q: 1}))
+        head, tail = _split(terms, low)
+        if not Q:  # P ^ P: 2 head ^ tail at s = 2, 0 at s = 1
+            return {m: 2 * c for m, c in wedge_terms(head, tail).items()} if s % 2 == 0 else {}
+        a_head, a_tail = _split(a, low)
+        out = wedge_terms(a_head, tail)
+        for m, c in wedge_terms(a_tail, head).items():
+            out[m] = out.get(m, 0) + c
+        return _nonzero(out) or wedge_terms(a_tail, tail)
+
+    quantifiers = map(sum, combinations(bits, quant_grade))
+    out = {}
+    for Q in quantifiers:
+        a = operand(Q)
+        if a:
+            out = equation(Q, a)
+            # past a passing first equation, the packed pass, if a quantifier follows
+            if not out and next(quantifiers, None) is not None:
+                Q = _first_failure(terms, bits, s, shift, dual)
+                out = {} if Q is None else equation(Q, operand(Q))
+            break
+    if not out:
+        return CriterionReport(name, True, comb0(n, quant_grade) * per_equation)
+    S = indices_of(Q)
+    comp, val = _first_component(out)
+    checked = (subset_rank(S, n) - 1) * per_equation + subset_rank(comp, n)
+    symbol = "Phi" if name == "classical" else "Psi"
+    witness = Witness(
+        equation=(S,),
+        component=comp,
+        value=val,
+        text=f"{symbol}=e^{{{_fmt(S)}}} -> component e_{{{_fmt(comp)}}} = {val}",
+    )
+    return CriterionReport(name, False, checked, witness)
+
+
+# Bits of pair sums the packed pass holds at once (2 MiB): keys x slot width
+# x slots per chunk stays under this.
+_PACKED_BITS = 1 << 24
+
+
+def _pair_sums(
+    terms: Mapping[int, Coeff], bits: Sequence[int], s: int, d: int
+) -> Iterator[tuple[int, list[int], dict[int, int]]]:
+    """The packed pair sums of the linear criteria with shift d on the
+    grade-s P with these terms, ``bits`` the indices P touches: (w, slots,
+    sums) per lex chunk of the (s-d)-subsets of ``bits``.
+
+    Every equation of those criteria is a signed sum of products of two
+    coefficients of P, and one set of sums serves the primal and the dual
+    side.  With lam * P the integer multiple ``_cleared`` gives, row u, for u
+    a d-subset, is i(e^u)(lam * P) packed into one int: one w-bit slot per
+    (s-d)-subset R of the chunk, in lex order, holding the coefficient at R
+    (balanced: a negative value borrows from the slots above).  ``sums[m |
+    u]`` adds sign(u, m) * (lam * P)[m] * row u over every term m and d-subset
+    u disjoint from m.  Slot R of key K is then lam^2 times the sum over the
+    d-subsets u of K of sign(u, K - u) * P[K - u] * sign(u, R) * P[u | R].
+    That is (-1)^(d(s-d)) times the e_K coefficient of the primal equation at
+    S = R, the sum of sign(R, u) * P[R | u] * P[K - u] * sign(u, K - u), and
+    (-1)^(ds) times the e_R coefficient of the dual equation at Q = K, the
+    sum of sign(K - u, u) * P[K - u] * P[u | R] * sign(u, R).
+
+    A slot sums C(s+d, d) products, one per d-subset u of K, each at most
+    M^2 in size for M = max |lam * P|, so w = bit_length(C(s+d, d) * M^2) + 2
+    bits hold it with room to spare.  A nonzero slot v, below 2^w in size,
+    is not a multiple of 2^w, so the lowest set bit of a sum lies in its
+    lowest nonzero slot, and a sum is 0 exactly when all its slots are.
+    Chunks hold as many slots as keep keys x w x slots under
+    ``_PACKED_BITS``, for C(|bits|, s+d) keys at most.
+    """
+    _, ints = _cleared(terms)
+    top = max(map(abs, ints.values()))
+    w = (comb0(s + d, d) * top * top).bit_length() + 2
+    slots = list(map(sum, combinations(bits, s - d)))
+    per_chunk = max(1, _PACKED_BITS // (w * max(1, comb0(len(bits), s + d))))
+    rank = {R: i for i, R in enumerate(slots)}
+    parity = {u: _suffix_parity(u) for u in map(sum, combinations(bits, d))}
+    chunks: list[dict[int, int]] = [{} for _ in range(0, len(slots), per_chunk)]
+    for m, c in ints.items():  # row u's entry at R, for each term m = u | R
+        for u in map(sum, combinations([b for b in bits if m & b], d)):
+            i, at = divmod(rank[m ^ u], per_chunk)
+            v = -c if (parity[u] & (m ^ u)).bit_count() & 1 else c
+            rows = chunks[i]
+            rows[u] = rows.get(u, 0) + (v << (w * at))
+    items = list(ints.items())
+    for i, rows in enumerate(chunks):
+        sums: dict[int, int] = {}
+        for u, row in rows.items():
+            par, neg = parity[u], -row
+            for m, c in items:
+                if not u & m:
+                    key = u | m
+                    sums[key] = sums.get(key, 0) + c * (neg if (par & m).bit_count() & 1 else row)
+        yield w, slots[i * per_chunk : (i + 1) * per_chunk], sums
+
+
+def _first_failure(
+    terms: Mapping[int, Coeff], bits: Sequence[int], s: int, d: int, dual: bool
+) -> int | None:
+    """The first failing quantifier, as a mask, of the linear criterion with
+    shift d and side ``dual`` on the grade-s P with these terms, or None when
+    every equation holds; ``bits`` are the indices P touches.
+
+    It reads ``_pair_sums``, whose slots are 0 exactly where the equations'
+    components are.  The primal's first failing S is the lowest nonzero slot
+    over all keys, found at the lowest set bit of each sum, and the pass
+    stops at the first chunk that holds one.  The dual's first failing Q is
+    the lex-first key with a nonzero sum in any chunk.
+    """
+    failed: list[int] = []
+    for w, slots, sums in _pair_sums(terms, bits, s, d):
+        if dual:
+            failed += [key for key, z in sums.items() if z]
+            continue
+        low = min((((z & -z).bit_length() - 1) // w for z in sums.values() if z), default=None)
+        if low is not None:
+            return slots[low]
+    return max(failed, key=_lsb_first, default=None)
 
 
 def classical_pluecker(P: Multivector) -> CriterionReport:

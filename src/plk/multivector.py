@@ -471,47 +471,6 @@ class _Contractions(dict):
         return _nonzero(out)
 
 
-class _Wedges(dict):
-    """P's basis wedges: ``self[u]`` is the terms of e_u ^ P, equal to
-    ``wedge_terms({u: 1}, terms)``, built the first time a sum reads it and
-    kept.
-
-    Each entry comes from P's terms apart from u, one term per key, so
-    nothing cancels and a coefficient is a term's, signed.  A sum that meets
-    a missing entry builds it in the same pass that adds it up; a sum over
-    kept entries makes no overlap test and reads no sign, which pays once
-    the entries are reused.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Coeff]):
-        super().__init__()
-        self.terms = terms
-
-    def wedge_into(self, out: dict[int, Coeff], a: Mapping[int, Coeff]) -> dict[int, Coeff]:
-        """Add the terms of a ^ P, the sum of a[u] * self[u], into ``out``
-        (zeros kept); returns ``out``."""
-        for u, c in a.items():
-            entry = self.get(u)
-            if entry is None:
-                par = _suffix_parity(u)
-                self[u] = entry = {}
-                for m, v in self.terms.items():
-                    if not u & m:
-                        key = u | m
-                        entry[key] = v = -v if (par & m).bit_count() & 1 else v
-                        out[key] = out.get(key, 0) + c * v
-            else:
-                for m, v in entry.items():
-                    out[m] = out.get(m, 0) + c * v
-        return out
-
-    def wedge(self, a: Mapping[int, Coeff]) -> dict[int, Coeff]:
-        """Terms of a ^ P, equal to ``wedge_terms(a, terms)``."""
-        return _nonzero(self.wedge_into({}, a))
-
-
 # -- public operations ---------------------------------------------------------
 
 

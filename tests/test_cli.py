@@ -409,6 +409,16 @@ def test_generators_refuse_bool(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("dim", (4, 7))
+def test_random_nonsimple_refuses_the_grades_with_no_nonsimple_vector(dim):
+    # grades 0, 1, dim-1 and dim hold decomposable vectors only, so a draw
+    # could never succeed; each is refused up front, and grade 2 is drawn
+    for grade in (0, 1, dim - 1, dim):
+        with pytest.raises(InputError, match=f"every multivector of grade {grade} in dimension {dim} is decomposable"):
+            random_nonsimple(seeded(1), dim, grade)
+    assert random_nonsimple(seeded(1), dim, 2).grade == 2
+
+
 # -- family ------------------------------------------------------------------------
 
 

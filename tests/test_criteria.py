@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -46,8 +46,10 @@ from plk.young import (
 from reference import (
     contract_by_definition,
     duality_identity_check,
+    inversion_sign,
     isotypic_probe,
     leibniz_minor,
+    linear_equation_value,
     project_tensor_square,
 )
 from util import rand_mv, seeded, sparse_rank
@@ -596,6 +598,164 @@ def test_linear_pass_checks_every_equation():
                 rep = fn(p)
                 assert rep.verdict, (n, s, name)
                 assert rep.equations_checked == LINEAR_COUNTS[name](n, s), (n, s, name)
+
+
+# -- the packed pass of the linear sweeps: its sums against the reference ------
+
+# shift d -> (primal criterion, dual criterion); both read one set of sums
+SIDES = {1: ("classical", "dual"), 2: ("improved", "dual-improved")}
+PRIMES = (2**61 - 1, 10**9 + 7, 998_244_353, 2**31 - 1, 1_000_003, 65_537, 8_191)
+
+
+def bound_input(s, d, M):
+    """A grade-s P in dimension 2s, every coefficient +-M, whose equation
+    at K = {1..s+d}, R = {s+d+1..2s} sums C(s+d, d) products that are all
+    M^2: the terms K - u and u + R for each d-subset u of K, signed so that
+    sign(u, K - u) * P[K - u] * sign(u, R) * P[u + R] = M^2."""
+    K, R = tuple(range(1, s + d + 1)), tuple(range(s + d + 1, 2 * s + 1))
+    pairs = []
+    for u in combinations(K, d):
+        rest = tuple(x for x in K if x not in u)
+        pairs.append((rest, M * inversion_sign(u, rest)))
+        pairs.append((u + R, M * inversion_sign(u, R)))
+    return Multivector.from_terms(2 * s, s, pairs)
+
+
+def packed_inputs():
+    rng = seeded(26, 0)
+    n = 7
+
+    def big_vector():
+        return Multivector(
+            n, 1, {1 << i: rng.choice((-1, 1)) * rng.randint(2**26, 2**27) for i in range(n)}
+        )
+
+    def prime_vector(shift):
+        return Multivector(
+            n, 1, {1 << i: Fraction(rng.randint(1, 9), PRIMES[(i + shift) % 7]) for i in range(n)}
+        )
+
+    big_simple = from_factors([big_vector() for _ in range(3)])
+    return {
+        # coefficients near +-2**80 (3x3 minors of 27-bit coordinates), every
+        # sum cancelling; the same, off by one term; +-(2**80 + small) on
+        # every 3-subset
+        "big-simple": big_simple,
+        "big-near-simple": big_simple + e(n, 1, 2, 3),
+        "big-dense": Multivector.from_terms(
+            n, 3, [(idx, rng.choice((-1, 1)) * (2**80 + rng.randint(-9, 9)))
+                   for idx in combinations(range(1, n + 1), 3)]
+        ),
+        # Fraction coefficients over large coprime denominators: a wedge of
+        # such vectors, and one term of it rescaled
+        "prime-simple": from_factors([prime_vector(k) for k in range(3)]),
+        "prime-near-simple": from_factors([prime_vector(k) for k in range(3)])
+        + Fraction(1, PRIMES[0]) * e(n, 2, 4, 6),
+        # one equation at the bound C(s+d, d) * M^2, for each shift
+        "bound-1": bound_input(3, 1, 2**40 + 1),
+        "bound-2": bound_input(3, 2, 5),
+        # a key whose sum holds a negative slot right below a positive one
+        "borrow": Multivector.from_terms(
+            5, 3, [((1, 2, 3), -2), ((1, 3, 5), 2), ((1, 4, 5), -1), ((2, 3, 4), -1)]
+        ),
+    }
+
+
+def scale_of(P):
+    """lam, the lcm of the denominators of P's coefficients."""
+    return reduce(lcm, (Fraction(c).denominator for c in P.terms.values()), 1)
+
+
+def expected_pair_sums(P, d):
+    """{K: [value per (s-d)-subset R, lex order]} over the (s+d)-subsets K
+    of P's touched indices: lam^2 (-1)^(d(s-d)) times the e_K coefficient of
+    the primal equation at R, asserted equal to lam^2 (-1)^(ds) times the
+    e_R coefficient of the dual equation at K, from
+    ``reference.linear_equation_value``."""
+    s = P.grade
+    terms = dict(P.items())
+    held = sorted({i for idx in terms for i in idx})
+    lam = scale_of(P)
+    primal, dual = SIDES[d]
+    out = {}
+    for K in combinations(held, s + d):
+        row = []
+        for R in combinations(held, s - d):
+            value = lam**2 * (-1) ** (d * (s - d)) * linear_equation_value(terms, s, primal, R, K)
+            assert value == lam**2 * (-1) ** (d * s) * linear_equation_value(terms, s, dual, K, R)
+            row.append(value)
+        out[K] = row
+    return out
+
+
+def balanced_slots(z, w, count):
+    """The ``count`` balanced w-bit digits of z, lowest first: each in
+    [-2^(w-1), 2^(w-1)), a negative one borrowing from the digit above."""
+    out = []
+    for _ in range(count):
+        v = z & ((1 << w) - 1)
+        if v >= 1 << (w - 1):
+            v -= 1 << w
+        out.append(v)
+        z = (z - v) >> w
+    assert z == 0
+    return out
+
+
+@pytest.mark.parametrize("budget", ("default", 1))
+def test_packed_pair_sums_are_the_equation_values(budget, monkeypatch):
+    # every slot of every key, decoded, against the reference equations on
+    # both sides, with the default chunk budget and one slot per chunk
+    if budget != "default":
+        monkeypatch.setattr(criteria, "_PACKED_BITS", budget)
+    reached = set()
+    for name, P in packed_inputs().items():
+        s = P.grade
+        held = sorted({i for idx, _ in P.items() for i in idx})
+        bits = [1 << (i - 1) for i in held]
+        for d in SIDES:
+            expected = expected_pair_sums(P, d)
+            got = {K: [] for K in expected}
+            for w, slots, sums in criteria._pair_sums(P.terms, bits, s, d):
+                assert set(sums) <= {sum(1 << (i - 1) for i in K) for K in expected}
+                for K in expected:
+                    mask = sum(1 << (i - 1) for i in K)
+                    got[K] += balanced_slots(sums.get(mask, 0), w, len(slots))
+            assert got == expected, (name, d)
+            top = scale_of(P) * max(abs(c) for c in P.terms.values())
+            reached.update(
+                ("bound", d) for row in expected.values() for v in row
+                if abs(v) == comb(s + d, d) * top**2
+            )
+            reached.update(
+                ("borrow", d) for row in expected.values()
+                for a, b in zip(row, row[1:]) if a < 0 < b
+            )
+    assert reached == {(kind, d) for kind in ("bound", "borrow") for d in SIDES}
+
+
+@pytest.mark.parametrize("name", list(packed_inputs()))
+def test_packed_pass_names_the_first_failing_equation(name, monkeypatch):
+    # the reports against the first nonzero slot of the reference sums, and
+    # the same reports with one slot per chunk
+    P = packed_inputs()[name]
+    terms = dict(P.items())
+    reports = {criterion: fn(P) for criterion, fn in LINEAR_FNS.items()}
+    for d, (primal, dual) in SIDES.items():
+        expected = expected_pair_sums(P, d)
+        held = sorted({i for idx in terms for i in idx})
+        slots = list(combinations(held, P.grade - d))
+        failing = sorted((slots[j], K) for K, row in expected.items() for j, v in enumerate(row) if v)
+        first = {primal: failing[0][0] if failing else None,
+                 dual: min((K for _, K in failing), default=None)}
+        for criterion in (primal, dual):
+            w = reports[criterion].witness
+            assert (w and w.equation[0]) == first[criterion], (name, criterion)
+            if w:
+                value = linear_equation_value(terms, P.grade, criterion, w.equation[0], w.component)
+                assert (w.value, type(w.value)) == (value, type(value)), (name, criterion)
+    monkeypatch.setattr(criteria, "_PACKED_BITS", 1)
+    assert {criterion: fn(P) for criterion, fn in LINEAR_FNS.items()} == reports
 
 
 def test_equation_count_validates():

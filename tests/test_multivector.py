@@ -17,7 +17,6 @@ from plk.criteria import from_factors
 from plk.linalg import nullspace
 from plk.multivector import (
     _Contractions,
-    _Wedges,
     _square_terms,
     _support_rows,
     basis_subsets,
@@ -714,32 +713,3 @@ def test_contraction_memo_matches_the_interior_kernel():
             out = _Contractions(P.terms).interior(phi.terms)
             assert all(out.values()), (str(phi), str(P))
             assert _same_terms(out, interior_terms(phi.terms, P.terms)), (str(phi), str(P))
-
-
-def test_wedge_memo_matches_the_wedge_kernel():
-    # One table per P serves several operands, so sums meet both missing
-    # entries (built while summed) and kept ones.
-    for trial in range(36):
-        rng = seeded(123, trial)
-        n = rng.randint(3, 7)
-        s = rng.randint(0, n)
-        kind = ("int", "fraction", "sparse")[trial % 3]
-        P = rand_mv(rng, n, s, bound=3, max_terms=2 if kind == "sparse" else None,
-                    rational=kind == "fraction")
-        table = _Wedges(P.terms)
-        for r in (*range(n - s + 1), *range(n - s + 1)):
-            a = rand_mv(rng, n, r, bound=3, rational=trial % 2 == 1)
-            expected = wedge_terms(a.terms, P.terms)
-            assert _same_terms(table.wedge(a.terms), expected)
-            # wedge_into adds onto what ``out`` holds and keeps cancelled keys
-            summed = table.wedge_into({m: 1 for m in expected}, a.terms)
-            assert {m: c for m, c in summed.items() if c} == {
-                m: 1 + c for m, c in expected.items() if 1 + c
-            }, (str(P), str(a))
-        for u in table:  # the kept entries
-            assert _same_terms(table[u], wedge_terms({u: 1}, P.terms)), (str(P), u)
-    for a, P in _cancelling_cases():
-        if not a.dual:  # a ^ P cancels wholly or in part
-            out = _Wedges(P.terms).wedge(a.terms)
-            assert all(out.values()), (str(a), str(P))
-            assert _same_terms(out, wedge_terms(a.terms, P.terms)), (str(a), str(P))

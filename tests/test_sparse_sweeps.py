@@ -283,28 +283,44 @@ def test_equations_checked_matches_a_full_reference_sweep(trial):
         assert (rep.verdict, rep.equations_checked, *got) == ref, (criterion, str(P))
 
 
-def test_reference_inputs_reach_both_sums_of_the_wedge_tables():
-    # A primal sweep wedges its first visited quantifier directly and sums
-    # the later ones from its wedge tables: their head sum gives components
-    # that hold P's lowest touched index, their tail sum the others.  Some
-    # reference witnesses must come from each, and the tables must agree
-    # with the reference on Fraction-scaled copies of those inputs too.
-    kinds = set()
-    for trial in range(112):
-        P = reference_input(trial)
-        held = sorted({i for idx, _ in P.items() for i in idx})
-        for criterion, shift in (("classical", 1), ("improved", 2)):
+def first_nonempty_quantifier(P, criterion):
+    """The lex-first quantifier over P's touched indices whose operand is
+    nonempty: an (s-d)-subset inside a term (primal), or an (s+d)-subset
+    holding one (dual); None when there is none."""
+    shift, dual = LINEAR_SHIFT[criterion]
+    held_terms = [set(idx) for idx, _ in P.items()]
+    held = sorted(set().union(*held_terms))
+    grade = P.grade + shift if dual else P.grade - shift
+    return next(
+        (S for S in combinations(held, grade)
+         if any(T <= set(S) if dual else set(S) <= T for T in held_terms)),
+        None,
+    )
+
+
+def test_reference_inputs_reach_witnesses_past_the_first_nonempty_equation():
+    # A sweep evaluates its equations directly up to its first one with a
+    # nonempty operand; a failure after that is found by the packed pass and
+    # re-evaluated.  Every criterion must meet such witnesses, on int inputs
+    # and on Fraction(1,3)-scaled copies, and agree with the reference.  The
+    # 112 reference inputs hold none for the dual criterion, so one input is
+    # added whose first nonempty dual equation, at e^{1,2,3}, passes.
+    inputs = [reference_input(trial) for trial in range(112)]
+    inputs.append(e(5, 1, 2) + e(5, 2, 3) + e(5, 4, 5))
+    reached = set()
+    for P in inputs:
+        for criterion in LINEAR_SHIFT:
             w = CRITERIA[criterion](P).witness
-            if w is None or w.equation == (tuple(held[: P.grade - shift]),):
+            if w is None or w.equation == (first_nonempty_quantifier(P, criterion),):
                 continue
-            kinds.add(held[0] in w.component)
-            Q = P * Fraction(1, 3)
-            rep = CRITERIA[criterion](Q)
-            got = (rep.witness.equation, (rep.witness.component, rep.witness.value))
-            assert (rep.verdict, rep.equations_checked, *got) == reference_linear(
-                Q, criterion
-            ), (trial, criterion)
-    assert kinds == {True, False}
+            reached.add(criterion)
+            for Q in (P, P * Fraction(1, 3)):
+                rep = CRITERIA[criterion](Q)
+                got = (rep.witness.equation, (rep.witness.component, rep.witness.value))
+                assert (rep.verdict, rep.equations_checked, *got) == reference_linear(
+                    Q, criterion
+                ), (str(P), criterion)
+    assert reached == set(LINEAR_SHIFT)
 
 
 def draws(n, m, trials, seed, bound):
