@@ -6,14 +6,17 @@ the exact integer identities splitting the tensor square of an exterior
 power into two-column components, the semistandard tableaux that index a
 basis of each of them, with their lex rank, and the blocks of the
 semistandard coordinates of the projection of P (x) P onto the shape with
-column heights (grade+2, grade-2), on which the optimal test decides.  The
-contraction criterion's exact mode evaluates at point sets indexed by the
-same tableaux.
+column heights (grade+2, grade-2), on which the optimal test decides.
+Past the first tableau, those blocks are decided a group at a time: the
+tableaux that differ only in their last bottom entry share one packed
+big-int pass, and only a group with a nonzero block is evaluated tableau
+by tableau.  The contraction criterion's exact mode evaluates at point sets
+indexed by the same tableaux.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, groupby, product
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
@@ -23,10 +26,12 @@ from .multivector import (
     Multivector,
     _Contractions,
     _Record,
+    _cleared,
     _is_int,
     _nonzero,
     _square_terms,
     _store,
+    _suffix_parity,
     check_dim,
     require_vector,
     sorted_mask,
@@ -217,24 +222,6 @@ def _tableau_rank(top: Sequence[int], bottom: Sequence[int], n: int, tail: int =
 # -- projection of P (x) P onto column heights (s+2, s-2) -------------------------
 
 
-class _Above(dict):
-    """The entries of a contraction table restricted to their terms whose
-    least index exceeds ``cut``, built on first use.  Their wedges are the
-    wedges of the full entries restricted the same way, since a union of two
-    index sets lies above ``cut`` exactly when both do."""
-
-    __slots__ = ("table", "low")
-
-    def __init__(self, table: _Contractions, cut: int):
-        super().__init__()
-        self.table = table
-        self.low = (1 << cut) - 1
-
-    def __missing__(self, u: int) -> dict[int, Coeff]:
-        self[u] = out = {m: c for m, c in self.table[u].items() if not m & self.low}
-        return out
-
-
 def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict[int, Coeff]:
     """The unnormalized skew coefficients of one tuple of k >= 1 pairs: the
     signed sum of the wedges d[u] ^ d[v] over the ways to split the pairs
@@ -290,11 +277,17 @@ def iter_projection_blocks(
 
     The skew over the four indices of the product of two pair-contracted
     2-forms is exactly their wedge, so each block is a signed sum of wedges
-    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, read through one lazy
-    table and restricted to their terms above a_k.  When P touches at most
-    s+1 indices it lies in Lambda^s of a space of that dimension, so it is
-    decomposable and nothing is yielded; nor below grade 2, where the shape
-    has no component.
+    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, restricted to their
+    terms above a_k.  The first tableau's block is evaluated directly
+    (``_pair_block``), where most failures stop.  The tableaux after it come
+    in groups that share (a, b_1..b_(k-1)) and differ only in b_k; a packed
+    pass (``_packed_groups``) decides each group at once in integers.  A
+    group whose blocks all vanish yields an empty block per tableau; the
+    tableaux of any other group are evaluated directly, so every nonempty
+    block (its Fraction values too) is the one-at-a-time one.  When P
+    touches at most s+1 indices it lies in Lambda^s of a space of that
+    dimension, so it is decomposable and nothing is yielded; nor below
+    grade 2, where the shape has no component.
     """
     require_vector(P, "projection target")
     s = P.grade
@@ -307,15 +300,110 @@ def iter_projection_blocks(
         return
     d = _Contractions(P.terms)
     denom = 3 * (1 << k)
-    above: dict[int, _Above] = {}
-    for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
-        cut = top[-1]
-        if cut >= touched[-4]:
+
+    def direct(pairs: tuple[tuple[int, int], ...]) -> dict[int, Coeff]:
+        low = (1 << pairs[-1][0]) - 1
+        return {m: c for m, c in _pair_block(pairs, d).items() if not m & low}
+
+    tableaux = _two_column_tableaux(touched, TwoColumnShape(k, k))
+    pairs = tuple(zip(*next(tableaux)))  # a = b = the k lowest touched, below touched[-4]
+    yield pairs, direct(pairs), denom
+    vanishes = _packed_groups(P.terms, touched, k)
+    for (top, head), group in groupby(tableaux, key=lambda tableau: (tableau[0], tableau[1][:-1])):
+        if top[-1] >= touched[-4]:
             continue  # fewer than four touched indices above a_k
-        if cut not in above:
-            above[cut] = _Above(d, cut)
-        pairs = tuple(zip(top, bottom))
-        yield pairs, _pair_block(pairs, above[cut]), denom
+        group = [tuple(zip(top, bottom)) for _, bottom in group]
+        passed = vanishes(top, head, len(group))
+        for pairs in group:
+            yield pairs, {} if passed else direct(pairs), denom
+
+
+def _packed_groups(terms: Mapping[int, Coeff], touched: Sequence[int], k: int):
+    """The packed group test of ``iter_projection_blocks`` on the grade-
+    (k+2) P with these terms and touched indices: a function of (top, head,
+    cnt) that is true exactly when the blocks of the tableaux with first
+    column a = top and second column head + (b,), for the cnt largest
+    touched b, all vanish.  Those are a group's tableaux, since b runs over
+    the touched indices from max(a_k, b_(k-1) + 1) on.
+
+    Orientation.  A block sums sign(u) * sign(v) * D[u] ^ D[v] over the
+    ways to split the pairs into sequences u and v, with one pair's side
+    fixed (``_pair_block`` fixes the first).  2-forms commute and the sign
+    product is symmetric in u and v, so fixing instead a_k on the u side
+    and b = b_k on the v side gives the same block.  b exceeds every other
+    entry of v (b_t < b and a_t <= b_t for t < k), so it sorts last and
+    adds no sign: the block is the sum over the splits of the first k-1
+    pairs of sigma * D[L] ^ D[R | b], for L the mask of u (with a_k), R
+    that of v without b, and sigma the product of their sorting signs.
+
+    Rows.  With lam * P the integer multiple ``_cleared`` gives, and D its
+    contractions, row R maps each 2-subset zw to the packed int E[R][zw] =
+    sum over the touched b above R's entries of D[R | b]_zw * 2^(w*slot(b)),
+    where slot(b) counts the touched indices above b.  Slots run in
+    descending b, so a group's cnt valid b's hold its cnt lowest slots.
+    Rows are built on first use and kept.
+
+    Group test.  One pass forms sums[F] = the sum over the splits of sigma
+    * D[L]_xy * E[R]_zw * sign(xy, zw) over the 2-subsets xy, zw above a_k
+    with F = xy | zw.  Slot b of sums[F] is then lam^2 times the block of
+    (a, head + (b,)) at F, for every valid b.  The group passes exactly when
+    every sums[F] & (2^(w*cnt) - 1) is 0.
+
+    Slot width.  A valid slot sums at most 2^(k-1) splits (merged splits add
+    their multiplicities, which sum to at most as many), each the
+    coefficient at F of a wedge of two 2-forms: 6 products D[L]_xy *
+    D[R | b]_zw, one per 2-subset xy of F, each of size at most M^2 for M =
+    max |lam * P|.  So every valid slot v has |v| <= B = 6 * 2^(k-1) * M^2,
+    and w = bit_length(B) + 2 gives |v| < 2^w, so a nonzero v is no
+    multiple of 2^w.  The slots above the valid ones (smaller b, or b not
+    above R's entries, which rows leave out) add multiples of 2^(w*cnt),
+    so they do not reach the masked bits.  If the valid slots are not all
+    0, let j be the lowest nonzero one: sums[F] = v_j * 2^(w*j) modulo
+    2^(w*(j+1)), which is not 0, and j < cnt, so the masked bits are not all
+    0.  If they are all 0, the masked bits are 0.  A packed int holds at
+    most |touched| slots, so no chunking is needed.
+    """
+    _, ints = _cleared(terms)
+    most = max(map(abs, ints.values()))
+    w = ((6 << (k - 1)) * most * most).bit_length() + 2
+    shift = {b: w * slot for slot, b in enumerate(reversed(touched))}
+    table = _Contractions(ints)
+    rows: dict[int, dict[int, int]] = {}
+
+    def row(R: int) -> dict[int, int]:
+        out = rows.get(R)
+        if out is None:
+            rows[R] = out = {}
+            for b in touched:
+                bit = 1 << (b - 1)
+                if bit > R:  # b above R's entries
+                    for zw, c in table[R | bit].items():
+                        out[zw] = out.get(zw, 0) + (c << shift[b])
+        return out
+
+    def vanishes(top: tuple[int, ...], head: tuple[int, ...], cnt: int) -> bool:
+        low = (1 << top[-1]) - 1
+        splits: dict[tuple[int, int], int] = {}
+        for eps in product((0, 1), repeat=k - 1):
+            L, su = sorted_mask([pair[e] for pair, e in zip(zip(top, head), eps)] + [top[-1]])
+            R, sv = sorted_mask([pair[1 - e] for pair, e in zip(zip(top, head), eps)])
+            if su and sv:
+                splits[L, R] = splits.get((L, R), 0) + su * sv
+        sums: dict[int, int] = {}
+        for (L, R), times in splits.items():
+            packed = [(zw, z) for zw, z in row(R).items() if not zw & low]
+            for xy, c in table[L].items():
+                if xy & low:
+                    continue
+                par, c = _suffix_parity(xy), times * c
+                for zw, z in packed:
+                    if not xy & zw:
+                        F = xy | zw
+                        sums[F] = sums.get(F, 0) + (-c * z if (par & zw).bit_count() & 1 else c * z)
+        mask = (1 << (w * cnt)) - 1
+        return not any(z & mask for z in sums.values())
+
+    return vanishes
 
 
 __all__ = [

@@ -174,3 +174,37 @@ def test_hodge_complement_keeps_every_verdict():
             assert verdicts(q) == before, (str(p), str(q))
             oracle = is_simple_oracle(p)
             assert all(verdict == oracle for _, verdict in before), str(p)
+
+
+def test_a_fraction_input_failing_past_the_first_optimal_group_keeps_its_pins():
+    # The optimal test decides the tableaux after its first in groups that
+    # differ only in b_k.  This grade-4 input touches 1..8, so the first group
+    # is pairs ((1, 1), (2, b)); its optimal witness lies in a later one, at
+    # pairs ((1, 4), (3, 5)).  Every criterion fails with these counts,
+    # witness positions and values, and at every scale lam the positions and
+    # counts stay while each value scales by lam**2.
+    P = Multivector(8, 4, {
+        mask_of((1, 3, 4, 5)): Fraction(2, 7),
+        mask_of((2, 3, 4, 5)): Fraction(1, 7),
+        mask_of((4, 5, 6, 8)): Fraction(-3, 2),
+        mask_of((4, 5, 7, 8)): -1,
+    })
+    reports = run_all_criteria(P)
+    assert [
+        (rep.criterion, rep.verdict, rep.equations_checked,
+         rep.witness.equation, rep.witness.component, rep.witness.value)
+        for rep in reports
+    ] == [
+        ("classical", False, 668, ((1, 4, 5),), (3, 4, 5, 6, 8), Fraction(-3, 7)),
+        ("dual", False, 1169, ((1, 3, 4, 5, 6),), (4, 5, 8), Fraction(-3, 7)),
+        ("improved", False, 521, ((4, 5),), (1, 3, 4, 5, 6, 8), Fraction(-6, 7)),
+        ("dual-improved", False, 467, ((1, 3, 4, 5, 6, 8),), (4, 5), Fraction(-6, 7)),
+        ("contraction(k=2)", False, 1284,
+         (18, ((1, 0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0, 0, 0)), ()),
+         (1, 3, 6, 8), Fraction(-6, 7)),
+        ("optimal", False, 507, (((1, 4), (3, 5)), (4, 5, 6, 8)), (4, 5, 6, 8),
+         Fraction(-1, 28)),
+        ("oracle", False, 56, ("support-rank", 6), (), 6),
+    ]
+    for lam in SCALES:
+        assert_scaled(reports, run_all_criteria(P * lam), lam)

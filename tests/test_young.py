@@ -1,7 +1,7 @@
 """Two-column shapes: dimensions, square decomposition, characters, probes."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -16,7 +16,8 @@ from plk import (
     wedge,
     young_dim,
 )
-from plk.multivector import mask_of, sorted_mask
+from plk import young
+from plk.multivector import _Contractions, mask_of, sorted_mask, touched_indices
 from plk.randgen import random_nonsimple, random_simple, random_vector
 from plk.young import _tableau_rank, _two_column_tableaux
 
@@ -542,3 +543,112 @@ def test_merged_split_multiplicities_are_nonzero():
                 assert all(times.values()), (pairs, times)
                 keys += len(times)
     assert keys > 1000
+
+
+# -- the packed group test ---------------------------------------------------------
+
+
+def _scan(P, pair_block):
+    """(pairs, block) per tableau that iter_projection_blocks visits, in its
+    order, each block a direct ``pair_block`` over P's full contraction
+    table restricted to the 4-subsets above a_k; none when P touches at
+    most s+1 indices."""
+    touched = touched_indices(P.terms)
+    k = P.grade - 2
+    if len(touched) <= P.grade + 1:
+        return []
+    table = _Contractions(P.terms)
+    out = []
+    for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
+        if top[-1] < touched[-4]:
+            pairs = tuple(zip(top, bottom))
+            low = (1 << top[-1]) - 1
+            out.append((pairs, {m: c for m, c in pair_block(pairs, table).items() if not m & low}))
+    return out
+
+
+def _at_the_bound(k, sign, M=2**80):
+    """A grade-(k+2) P in dimension k+6 with |coefficients| <= M, M reached,
+    whose tableau with pairs (h, h) for h = 2..k+1 has the block sign * 6 *
+    2**(k-1) * M**2 on F = {k+2, ..., k+5}, the most a slot of the packed
+    pass can hold.  P is e_H ^ w + (M - 1) e_1 ^ e_(H - {2}) ^ e_(k+2) ^
+    e_(k+6), for w the 2-form on F with sign * w_12 w_34 = -sign * w_13 w_24
+    = sign * w_14 w_23 = M**2 (so (w ^ w)_F = 6 * sign * M**2), and D[H] = w
+    above k+1.  That tableau leads its group, a later one than the first, and
+    its group's other blocks vanish."""
+    n = k + 6
+    f1, f2, f3, f4 = range(k + 2, k + 6)
+    head = tuple(range(2, k + 2))
+    w = {(f1, f2): M, (f3, f4): sign * M, (f1, f3): M, (f2, f4): -sign * M,
+         (f1, f4): M, (f2, f3): sign * M}
+    terms = {mask_of(head + xy): c for xy, c in w.items()}
+    terms[mask_of((1,) + head[1:] + (k + 2, n))] = M - 1
+    return Multivector(n, k + 2, terms)
+
+
+def test_packed_groups_yield_the_direct_blocks(monkeypatch):
+    # iter_projection_blocks evaluates its first tableau directly, then
+    # decides each group of tableaux that differ only in b_k by one packed
+    # pass.  It must yield the direct blocks of the same tableaux in the same
+    # order, and evaluate directly exactly the first tableau and the groups
+    # that hold a nonzero block.
+    pair_block = young._pair_block
+    direct = []
+
+    def recorded(pairs, d):
+        direct.append(pairs)
+        return pair_block(pairs, d)
+
+    monkeypatch.setattr(young, "_pair_block", recorded)
+    rng = seeded(408)
+    cases = []
+    for n, s in [(7, 3), (8, 3), (7, 3), (8, 3), (8, 4), (9, 4), (8, 5)]:
+        cases += [random_simple(rng, n, s, 4), random_nonsimple(rng, n, s, 4),
+                  rand_mv(rng, n, s, bound=5, max_terms=rng.randint(2, 5))]
+    e = Multivector.basis
+    cases += [  # the goldens sparse-7-4 and sparse-8-4
+        wedge(e(7, (1,)), e(7, (2, 3, 4)) + e(7, (5, 6, 7))),
+        e(8, (1, 2, 3, 4)) + e(8, (5, 6, 7, 8)),
+    ]
+    bounds = [_at_the_bound(k, sign) for k in (1, 2, 3) for sign in (1, -1)]
+    # the witnesses of the Fraction(1, 3)-scaled copies are checked by their
+    # blocks here, and by the lam**2 scaling in tests/test_invariance.py
+    scaled = [P * Fraction(1, 3) for P in cases]
+    past_first = past_group = 0
+    for P, reference in [(P, True) for P in cases + bounds] + [(P, False) for P in scaled]:
+        direct.clear()
+        got = list(young.iter_projection_blocks(P))
+        scan = _scan(P, pair_block)
+        denom = 3 * 2 ** (P.grade - 2)
+        assert [(p, {m: repr(c) for m, c in b.items()}, d) for p, b, d in got] == [
+            (p, {m: repr(c) for m, c in b.items()}, denom) for p, b in scan
+        ], str(P)
+        if not scan:
+            assert direct == [], str(P)
+            continue
+        expected = [scan[0][0]]
+        for _, group in groupby(scan[1:], key=lambda pb: (
+                tuple(a for a, _ in pb[0]), tuple(b for _, b in pb[0])[:-1])):
+            group = list(group)
+            if any(block for _, block in group):
+                expected += [pairs for pairs, _ in group]
+        assert direct == expected, str(P)
+        rep = optimal_component_test(P)
+        assert rep.verdict == (not any(block for _, block in scan)), str(P)
+        if rep.verdict or not reference:
+            continue
+        coeffs = project_tensor_square(P)
+        key = min((key for key in coeffs if _is_semistandard(*key)),
+                  key=lambda key: ([a for a, _ in key[0]], [b for _, b in key[0]], key[1]))
+        assert (rep.witness.equation[0], rep.witness.component) == key, str(P)
+        assert rep.witness.value == coeffs[key], str(P)
+        pairs = rep.witness.equation[0]
+        first = scan[0][0]
+        past_first += pairs != first
+        past_group += (pairs[:-1], pairs[-1][0]) != (first[:-1], first[-1][0])
+    for k in (1, 2, 3):
+        for sign in (1, -1):
+            got = {p: b for p, b, _ in young.iter_projection_blocks(_at_the_bound(k, sign))}
+            top = {mask_of(range(k + 2, k + 6)): sign * 6 * 2 ** (k - 1) * 2**160}
+            assert got[tuple((h, h) for h in range(2, k + 2))] == top, (k, sign)
+    assert past_first >= 10 and past_group >= 5, (past_first, past_group)
