@@ -22,14 +22,13 @@ are linear in the quantified covector, so checking basis covectors in
 lexicographic order is exact; reports carry the first failing equation as a
 witness.  One sweep serves all four (``_sweep``).  It evaluates equations
 directly up to the first with a nonempty operand, where most failures stop;
-past it, one packed pass decides every equation from P's pair sums
-(``_pair_sums``): each equation is a signed sum of products P[a] * P[b],
-and big ints with one slot per equation (or component) add them in C.  A
-slot is wide enough for the largest sum it can hold, so it is 0 exactly
-when its equation is.  The first failing equation the pass names is then
-evaluated directly on P, so witnesses and counts are those of the
-one-at-a-time sweep.  Degenerate grades (0 and 1) are decomposable by
-convention, as is the zero multivector.
+past it, one packed pass decides every equation as the primal equation at
+a packed covector (``_pair_sums``), the sum of 2^(w*j) * e^R over the
+quantifiers R: its big-int coefficients hold every basis equation in its
+own w-bit slot, 0 exactly when the equation is.  The first failing
+equation the pass names is then evaluated directly on P, so witnesses and
+counts are those of the one-at-a-time sweep.  Degenerate grades (0 and 1)
+are decomposable by convention, as is the zero multivector.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .multivector import (
     _is_int,
     _nonzero,
     _store,
-    _suffix_parity,
     _support_rows,
     check_dim,
     indices_of,
@@ -196,13 +194,11 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
 
     Once that equation passes and more quantifiers follow, one packed pass
     (``_first_failure``) decides every equation at once and names the first
-    failing quantifier, if any.  Each equation is a signed sum of products of
-    two coefficients of P; ``_pair_sums`` adds them up in big ints, one slot
-    per equation (primal) or component (dual), each slot wide enough for the
-    largest sum it can hold, so a slot is 0 exactly when its equation's
-    component is.  The failing equation is then evaluated directly on P, as
-    above, so the witness, its value (a Fraction on Fraction input) and the
-    count do not depend on the packed pass.
+    failing quantifier, if any: ``_pair_sums`` evaluates the primal equation
+    at a packed covector with one slot per quantifier, and the slots hold
+    every primal and dual equation.  The failing equation is then evaluated
+    directly on P, as above, so the witness, its value (a Fraction on
+    Fraction input) and the count do not depend on the packed pass.
     """
     shift, dual = _LINEAR[name]
     if s < shift:
@@ -267,23 +263,21 @@ _PACKED_BITS = 1 << 24
 def _pair_sums(
     terms: Mapping[int, Coeff], bits: Sequence[int], s: int, d: int
 ) -> Iterator[tuple[int, list[int], dict[int, int]]]:
-    """The packed pair sums of the linear criteria with shift d on the
-    grade-s P with these terms, ``bits`` the indices P touches: (w, slots,
-    sums) per lex chunk of the (s-d)-subsets of ``bits``.
+    """The linear criteria with shift d on the grade-s P with these terms,
+    ``bits`` the indices P touches, evaluated at packed covectors: (w,
+    slots, sums) per lex chunk of the (s-d)-subsets of ``bits``.
 
-    Every equation of those criteria is a signed sum of products of two
-    coefficients of P, and one set of sums serves the primal and the dual
-    side.  With lam * P the integer multiple ``_cleared`` gives, row u, for u
-    a d-subset, is i(e^u)(lam * P) packed into one int: one w-bit slot per
-    (s-d)-subset R of the chunk, in lex order, holding the coefficient at R
-    (balanced: a negative value borrows from the slots above).  ``sums[m |
-    u]`` adds sign(u, m) * (lam * P)[m] * row u over every term m and d-subset
-    u disjoint from m.  Slot R of key K is then lam^2 times the sum over the
-    d-subsets u of K of sign(u, K - u) * P[K - u] * sign(u, R) * P[u | R].
-    That is (-1)^(d(s-d)) times the e_K coefficient of the primal equation at
-    S = R, the sum of sign(R, u) * P[R | u] * P[K - u] * sign(u, K - u), and
-    (-1)^(ds) times the e_R coefficient of the dual equation at Q = K, the
-    sum of sign(K - u, u) * P[K - u] * P[u | R] * sign(u, R).
+    With lam * P the integer multiple ``_cleared`` gives, ``sums`` is the
+    primal equation i(phi)(lam * P) ^ (lam * P) at the packed covector phi,
+    the sum of 2^(w*j) * e^R over the chunk's subsets R, j their lex
+    position in the chunk.  It is linear in phi, so the e_K coefficient
+    ``sums[K]`` holds one w-bit slot per R (balanced: a negative value
+    borrows from the slots above), and slot R is lam^2 times the e_K
+    coefficient of the primal equation at S = R.  That is
+    (-1)^d * lam^2 times the e_R coefficient of the dual equation at Q = K:
+    the two sum, over the d-subsets u of K, sign(R, u) * P[R | u] * sign(u,
+    K - u) * P[K - u] and sign(K - u, u) * P[K - u] * sign(u, R) * P[u | R],
+    and the signs differ by (-1)^(d(s-d)) * (-1)^(ds) = (-1)^d.
 
     A slot sums C(s+d, d) products, one per d-subset u of K, each at most
     M^2 in size for M = max |lam * P|, so w = bit_length(C(s+d, d) * M^2) + 2
@@ -298,25 +292,13 @@ def _pair_sums(
     w = (comb0(s + d, d) * top * top).bit_length() + 2
     slots = list(map(sum, combinations(bits, s - d)))
     per_chunk = max(1, _PACKED_BITS // (w * max(1, comb0(len(bits), s + d))))
-    rank = {R: i for i, R in enumerate(slots)}
-    parity = {u: _suffix_parity(u) for u in map(sum, combinations(bits, d))}
-    chunks: list[dict[int, int]] = [{} for _ in range(0, len(slots), per_chunk)]
-    for m, c in ints.items():  # row u's entry at R, for each term m = u | R
-        for u in map(sum, combinations([b for b in bits if m & b], d)):
-            i, at = divmod(rank[m ^ u], per_chunk)
-            v = -c if (parity[u] & (m ^ u)).bit_count() & 1 else c
-            rows = chunks[i]
-            rows[u] = rows.get(u, 0) + (v << (w * at))
-    items = list(ints.items())
-    for i, rows in enumerate(chunks):
-        sums: dict[int, int] = {}
-        for u, row in rows.items():
-            par, neg = parity[u], -row
-            for m, c in items:
-                if not u & m:
-                    key = u | m
-                    sums[key] = sums.get(key, 0) + c * (neg if (par & m).bit_count() & 1 else row)
-        yield w, slots[i * per_chunk : (i + 1) * per_chunk], sums
+    for i in range(0, len(slots), per_chunk):
+        chunk = slots[i : i + per_chunk]
+        # contracted once, so straight through the kernel, which looks each
+        # term's subsets up in a phi this dense: a memo of the basis
+        # contractions would add a call per slot and share nothing
+        phi = {R: 1 << (w * j) for j, R in enumerate(chunk)}
+        yield w, chunk, wedge_terms(interior_terms(phi, ints), ints)
 
 
 def _first_failure(
@@ -326,11 +308,12 @@ def _first_failure(
     shift d and side ``dual`` on the grade-s P with these terms, or None when
     every equation holds; ``bits`` are the indices P touches.
 
-    It reads ``_pair_sums``, whose slots are 0 exactly where the equations'
-    components are.  The primal's first failing S is the lowest nonzero slot
-    over all keys, found at the lowest set bit of each sum, and the pass
-    stops at the first chunk that holds one.  The dual's first failing Q is
-    the lex-first key with a nonzero sum in any chunk.
+    It reads ``_pair_sums``, the primal equation at a packed covector per
+    chunk, whose slots are 0 exactly where the equations' components are.
+    The primal's first failing S is the lowest nonzero slot over all keys,
+    found at the lowest set bit of each sum, and the pass stops at the
+    first chunk that holds one.  The dual's first failing Q is the
+    lex-first key with a nonzero sum in any chunk.
     """
     failed: list[int] = []
     for w, slots, sums in _pair_sums(terms, bits, s, d):

@@ -418,8 +418,31 @@ def _square_terms(a: Mapping[int, Coeff]) -> dict[int, Coeff]:
 
 
 def interior_terms(phi: Mapping[int, Coeff], p: Mapping[int, Coeff]) -> dict[int, Coeff]:
-    """Terms of interior(phi, p): contract each subset of phi out of p."""
+    """Terms of interior(phi, p): contract each subset of phi out of p.
+
+    A phi of one grade g with more terms than a term of p has g-subsets is
+    read from p's side: each term looks up in phi what is left of it once
+    an r-subset, r = grade - g, is removed.  The sign then counts, for each
+    bit of that rest, the term's bits above it, less the C(r, 2) pairs
+    inside the rest.
+    """
     out: dict[int, Coeff] = {}
+    g = next(iter(phi), 0).bit_count()
+    if len(phi) > comb(next(iter(p), 0).bit_count(), g) and all(m.bit_count() == g for m in phi):
+        for mp, cp in p.items():
+            bits, x = [], mp
+            while x:
+                bits.append(x & -x)
+                x &= x - 1
+            r = len(bits) - g  # below 0, mp alone is looked up, and it is no key of phi
+            par, cp = _suffix_parity(mp), -cp if r * (r - 1) // 2 & 1 else cp
+            for rest in map(sum, combinations(bits, max(r, 0))):
+                cph = phi.get(mp ^ rest)
+                if cph is not None:
+                    out[rest] = out.get(rest, 0) + (
+                        -cph * cp if (par & rest).bit_count() & 1 else cph * cp
+                    )
+        return _nonzero(out)
     for mph, cph in phi.items():
         par = _suffix_parity(mph)
         for mp, cp in p.items():

@@ -8,10 +8,10 @@ basis of each of them, with their lex rank, and the blocks of the
 semistandard coordinates of the projection of P (x) P onto the shape with
 column heights (grade+2, grade-2), on which the optimal test decides.
 Past the first tableau, those blocks are decided a group at a time: the
-tableaux that differ only in their last bottom entry share one packed
-big-int pass, and only a group with a nonzero block is evaluated tableau
-by tableau.  The contraction criterion's exact mode evaluates at point sets
-indexed by the same tableaux.
+tableaux that differ only in their last bottom entry share one evaluation
+at a packed covector, and only a group with a nonzero block is evaluated
+tableau by tableau.  The contraction criterion's exact mode evaluates at
+point sets indexed by the same tableaux.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .multivector import (
     _nonzero,
     _square_terms,
     _store,
-    _suffix_parity,
     check_dim,
     require_vector,
     sorted_mask,
@@ -280,14 +279,16 @@ def iter_projection_blocks(
     D[u] ^ D[v] of the contractions D[u] = i(e^u)P, restricted to their
     terms above a_k.  The first tableau's block is evaluated directly
     (``_pair_block``), where most failures stop.  The tableaux after it come
-    in groups that share (a, b_1..b_(k-1)) and differ only in b_k; a packed
-    pass (``_packed_groups``) decides each group at once in integers.  A
-    group whose blocks all vanish yields an empty block per tableau; the
-    tableaux of any other group are evaluated directly, so every nonempty
-    block (its Fraction values too) is the one-at-a-time one.  When P
-    touches at most s+1 indices it lies in Lambda^s of a space of that
-    dimension, so it is decomposable and nothing is yielded; nor below
-    grade 2, where the shape has no component.
+    in groups that share (a, b_1..b_(k-1)) and differ only in b_k.  A block
+    is linear in the entry D[R | b_k] on b_k's side, so ``_packed_groups``
+    evaluates it at a packed covector that holds each b_k in its own slot,
+    which decides the whole group in one pass.  A group whose blocks all
+    vanish yields an empty block per tableau; the tableaux of any other
+    group are evaluated directly, so every nonempty block (its Fraction
+    values too) is the one-at-a-time one.  When P touches at most s+1
+    indices it lies in Lambda^s of a space of that dimension, so it is
+    decomposable and nothing is yielded; nor below grade 2, where the shape
+    has no component.
     """
     require_vector(P, "projection target")
     s = P.grade
@@ -336,18 +337,17 @@ def _packed_groups(terms: Mapping[int, Coeff], touched: Sequence[int], k: int):
     pairs of sigma * D[L] ^ D[R | b], for L the mask of u (with a_k), R
     that of v without b, and sigma the product of their sorting signs.
 
-    Rows.  With lam * P the integer multiple ``_cleared`` gives, and D its
-    contractions, row R maps each 2-subset zw to the packed int E[R][zw] =
-    sum over the touched b above R's entries of D[R | b]_zw * 2^(w*slot(b)),
-    where slot(b) counts the touched indices above b.  Slots run in
-    descending b, so a group's cnt valid b's hold its cnt lowest slots.
-    Rows are built on first use and kept.
-
-    Group test.  One pass forms sums[F] = the sum over the splits of sigma
-    * D[L]_xy * E[R]_zw * sign(xy, zw) over the 2-subsets xy, zw above a_k
-    with F = xy | zw.  Slot b of sums[F] is then lam^2 times the block of
-    (a, head + (b,)) at F, for every valid b.  The group passes exactly when
-    every sums[F] & (2^(w*cnt) - 1) is 0.
+    Packed covector.  That block is linear in D[R | b] = i(e^(R | b))P, so
+    with lam * P the integer multiple ``_cleared`` gives, and D its
+    contractions, row R is the contraction E[R] = i(phi_R)(lam * P) at the
+    packed covector phi_R = the sum of 2^(w*slot(b)) * e^(R | b) over the
+    touched b above R's entries, where slot(b) counts the touched indices
+    above b.  Slots run in descending b, so a group's cnt valid b's hold
+    its cnt lowest slots.  The sums over the splits of sigma * D[L] ^ E[R],
+    both restricted to their terms above a_k, then hold in slot b of
+    sums[F] lam^2 times the block of (a, head + (b,)) at F, for every valid
+    b.  The group passes exactly when every sums[F] & (2^(w*cnt) - 1) is 0.
+    Rows, and D[L] and E[R] above each a_k, are built on first use and kept.
 
     Slot width.  A valid slot sums at most 2^(k-1) splits (merged splits add
     their multiplicities, which sum to at most as many), each the
@@ -366,40 +366,32 @@ def _packed_groups(terms: Mapping[int, Coeff], touched: Sequence[int], k: int):
     _, ints = _cleared(terms)
     most = max(map(abs, ints.values()))
     w = ((6 << (k - 1)) * most * most).bit_length() + 2
-    shift = {b: w * slot for slot, b in enumerate(reversed(touched))}
+    shift = {1 << (b - 1): w * slot for slot, b in enumerate(reversed(touched))}
     table = _Contractions(ints)
     rows: dict[int, dict[int, int]] = {}
-
-    def row(R: int) -> dict[int, int]:
-        out = rows.get(R)
-        if out is None:
-            rows[R] = out = {}
-            for b in touched:
-                bit = 1 << (b - 1)
-                if bit > R:  # b above R's entries
-                    for zw, c in table[R | bit].items():
-                        out[zw] = out.get(zw, 0) + (c << shift[b])
-        return out
+    lefts: dict[tuple[int, int], dict[int, int]] = {}  # D[L] above a_k, per (L, a_k)
+    rights: dict[tuple[int, int], dict[int, int]] = {}  # E[R] above a_k, per (R, a_k)
 
     def vanishes(top: tuple[int, ...], head: tuple[int, ...], cnt: int) -> bool:
-        low = (1 << top[-1]) - 1
+        a = top[-1]
+        low = (1 << a) - 1
         splits: dict[tuple[int, int], int] = {}
         for eps in product((0, 1), repeat=k - 1):
-            L, su = sorted_mask([pair[e] for pair, e in zip(zip(top, head), eps)] + [top[-1]])
+            L, su = sorted_mask([pair[e] for pair, e in zip(zip(top, head), eps)] + [a])
             R, sv = sorted_mask([pair[1 - e] for pair, e in zip(zip(top, head), eps)])
             if su and sv:
                 splits[L, R] = splits.get((L, R), 0) + su * sv
         sums: dict[int, int] = {}
         for (L, R), times in splits.items():
-            packed = [(zw, z) for zw, z in row(R).items() if not zw & low]
-            for xy, c in table[L].items():
-                if xy & low:
-                    continue
-                par, c = _suffix_parity(xy), times * c
-                for zw, z in packed:
-                    if not xy & zw:
-                        F = xy | zw
-                        sums[F] = sums.get(F, 0) + (-c * z if (par & zw).bit_count() & 1 else c * z)
+            if (L, a) not in lefts:
+                lefts[L, a] = {xy: c for xy, c in table[L].items() if not xy & low}
+            if R not in rows:
+                phi = {R | bit: 1 << at for bit, at in shift.items() if bit > R}
+                rows[R] = table.interior(phi)
+            if (R, a) not in rights:
+                rights[R, a] = {zw: z for zw, z in rows[R].items() if not zw & low}
+            for F, z in wedge_terms(lefts[L, a], rights[R, a]).items():
+                sums[F] = sums.get(F, 0) + times * z
         mask = (1 << (w * cnt)) - 1
         return not any(z & mask for z in sums.values())
 

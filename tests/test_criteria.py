@@ -608,10 +608,11 @@ PRIMES = (2**61 - 1, 10**9 + 7, 998_244_353, 2**31 - 1, 1_000_003, 65_537, 8_191
 
 
 def bound_input(s, d, M):
-    """A grade-s P in dimension 2s, every coefficient +-M, whose equation
-    at K = {1..s+d}, R = {s+d+1..2s} sums C(s+d, d) products that are all
-    M^2: the terms K - u and u + R for each d-subset u of K, signed so that
-    sign(u, K - u) * P[K - u] * sign(u, R) * P[u + R] = M^2."""
+    """A grade-s P in dimension 2s, every coefficient +-M, whose primal
+    equation at R = {s+d+1..2s} has at e_K, K = {1..s+d}, C(s+d, d)
+    products of one sign and size M^2: the terms K - u and u + R for each
+    d-subset u of K, signed so that sign(u, K - u) * P[K - u] * sign(u, R)
+    * P[u + R] = M^2, and sign(R, u) = (-1)^(d(s-d)) * sign(u, R)."""
     K, R = tuple(range(1, s + d + 1)), tuple(range(s + d + 1, 2 * s + 1))
     pairs = []
     for u in combinations(K, d):
@@ -651,12 +652,20 @@ def packed_inputs():
         "prime-simple": from_factors([prime_vector(k) for k in range(3)]),
         "prime-near-simple": from_factors([prime_vector(k) for k in range(3)])
         + Fraction(1, PRIMES[0]) * e(n, 2, 4, 6),
-        # one equation at the bound C(s+d, d) * M^2, for each shift
+        # one equation at the bound C(s+d, d) * M^2, for each shift, at an
+        # odd and an even grade (where d(s-d) is odd for d = 1)
         "bound-1": bound_input(3, 1, 2**40 + 1),
         "bound-2": bound_input(3, 2, 5),
-        # a key whose sum holds a negative slot right below a positive one
+        "bound-1-grade-4": bound_input(4, 1, 2**40 + 1),
+        "bound-2-grade-4": bound_input(4, 2, 5),
+        # a key whose sum holds a negative slot right below a positive one,
+        # for each shift, at grades 3 and 4
         "borrow": Multivector.from_terms(
             5, 3, [((1, 2, 3), -2), ((1, 3, 5), 2), ((1, 4, 5), -1), ((2, 3, 4), -1)]
+        ),
+        "borrow-grade-4": Multivector.from_terms(
+            6, 4, [((1, 2, 4, 5), -1), ((1, 2, 4, 6), -2), ((1, 4, 5, 6), 1),
+                   ((2, 3, 4, 6), -1), ((2, 3, 5, 6), 1)]
         ),
     }
 
@@ -668,10 +677,9 @@ def scale_of(P):
 
 def expected_pair_sums(P, d):
     """{K: [value per (s-d)-subset R, lex order]} over the (s+d)-subsets K
-    of P's touched indices: lam^2 (-1)^(d(s-d)) times the e_K coefficient of
-    the primal equation at R, asserted equal to lam^2 (-1)^(ds) times the
-    e_R coefficient of the dual equation at K, from
-    ``reference.linear_equation_value``."""
+    of P's touched indices: lam^2 times the e_K coefficient of the primal
+    equation at R, asserted equal to lam^2 (-1)^d times the e_R coefficient
+    of the dual equation at K, from ``reference.linear_equation_value``."""
     s = P.grade
     terms = dict(P.items())
     held = sorted({i for idx in terms for i in idx})
@@ -681,8 +689,8 @@ def expected_pair_sums(P, d):
     for K in combinations(held, s + d):
         row = []
         for R in combinations(held, s - d):
-            value = lam**2 * (-1) ** (d * (s - d)) * linear_equation_value(terms, s, primal, R, K)
-            assert value == lam**2 * (-1) ** (d * s) * linear_equation_value(terms, s, dual, K, R)
+            value = lam**2 * linear_equation_value(terms, s, primal, R, K)
+            assert value == lam**2 * (-1) ** d * linear_equation_value(terms, s, dual, K, R)
             row.append(value)
         out[K] = row
     return out
@@ -724,14 +732,16 @@ def test_packed_pair_sums_are_the_equation_values(budget, monkeypatch):
             assert got == expected, (name, d)
             top = scale_of(P) * max(abs(c) for c in P.terms.values())
             reached.update(
-                ("bound", d) for row in expected.values() for v in row
+                ("bound", d, s) for row in expected.values() for v in row
                 if abs(v) == comb(s + d, d) * top**2
             )
             reached.update(
-                ("borrow", d) for row in expected.values()
+                ("borrow", d, s) for row in expected.values()
                 for a, b in zip(row, row[1:]) if a < 0 < b
             )
-    assert reached == {(kind, d) for kind in ("bound", "borrow") for d in SIDES}
+    assert reached == {
+        (kind, d, s) for kind in ("bound", "borrow") for d in SIDES for s in (3, 4)
+    }
 
 
 @pytest.mark.parametrize("name", list(packed_inputs()))

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -436,6 +437,36 @@ def test_term_kernels_at_high_indices():
         assert interior_terms(phi.terms, p.terms) == interior_by_adjunction(phi, p).terms
         psi = _high_mv(rng, s + rng.randint(0, 2), dual=True)
         assert interior_terms(p.terms, psi.terms) == contract_by_adjunction(p, psi).terms
+
+
+def test_interior_kernel_reads_a_dense_covector_from_the_vector_side():
+    # a phi of one grade with more terms than a term of p has subsets of
+    # that grade is looked up from p's terms; either way the terms are the
+    # adjunction's, and by linearity the sum of phi's one-term contractions
+    read = Counter()
+    for trial in range(60):
+        rng = seeded(134, trial)
+        n = rng.randint(2, 7)
+        s = rng.randint(1, n)
+        g = rng.randint(0, s)
+        p = rand_mv(rng, n, s, bound=3, rational=trial % 2 == 1)
+        phi = rand_mv(rng, n, g, bound=3, max_terms=None if trial % 3 else 2, dual=True,
+                      rational=trial % 4 == 3)
+        out = interior_terms(phi.terms, p.terms)
+        assert _same_terms(out, interior_by_adjunction(phi, p).terms), (str(phi), str(p))
+        read[len(phi.terms) > comb(s, g)] += 1
+    assert read[True] and read[False]
+    # mixed grades on either side: phi is scanned, and p's terms below g add nothing
+    rng = seeded(135)
+    phi = {m: rng.randint(1, 5) for m in (0b11, 0b101, 0b110, 0b1001, 0b1010, 0b1)}
+    p = {0b111: -2, 0b1111: 3, 0b1: 4, 0b1011: Fraction(1, 2)}  # C(3, 2) < 5 dense terms
+    dense = {m: c for m, c in phi.items() if m.bit_count() == 2}
+    for a in (phi, dense):
+        linear = {}
+        for m, c in a.items():
+            for rest, v in interior_terms({m: c}, p).items():
+                linear[rest] = linear.get(rest, 0) + v
+        assert interior_terms(a, p) == {m: c for m, c in linear.items() if c}
 
 
 def test_square_kernel_is_the_wedge_of_an_even_form_with_itself():
