@@ -506,17 +506,18 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
     index a basis of the component, in the order of
     ``young.iter_projection_blocks``: tableau (a, b) of the shape (s-2, s-2)
     in lex order, then the 4-subset above a_k in lex order.  The first
-    nonzero one is the witness.  The first tableau's block is evaluated
-    directly; past it, the tableaux that differ only in their last bottom
-    entry are decided together by one packed pass in integers, and only a
-    group with a nonzero block is evaluated tableau by tableau, so the
-    witness and its value (a Fraction on Fraction input) are those of the
-    one-at-a-time scan.  ``equations_checked`` counts the coordinates over
-    1..n up to and including the witness in that order, or all dim
-    Y[s+2,s-2] of them (``equation_count``) on a pass; a coordinate that
-    holds an index P does not touch is zero, so only those inside are
-    visited.  Below grade 2 there is no such component: the test passes
-    with 0.
+    nonzero one is the witness.  Every block is one oriented split sum on
+    lam * P (cleared denominators) through one contraction table.  The first
+    tableau's is evaluated directly; past it, the tableaux that differ only
+    in their last bottom entry are decided together by that sum at a packed
+    covector, and only a group with a nonzero block is evaluated tableau by
+    tableau, each divided by lam^2, so the witness and its value (a Fraction
+    on Fraction input) are those of the one-at-a-time scan.
+    ``equations_checked`` counts the coordinates over 1..n up to and
+    including the witness in that order, or all dim Y[s+2,s-2] of them
+    (``equation_count``) on a pass; a coordinate that holds an index P does
+    not touch is zero, so only those inside are visited.  Below grade 2
+    there is no such component: the test passes with 0.
     """
     require_vector(P, "P")
     n = P.dim

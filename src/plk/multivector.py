@@ -381,9 +381,12 @@ def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
-def _cleared(terms: Mapping[int, Coeff]) -> tuple[int, dict[int, int]]:
+def _cleared(terms: Mapping[int, Coeff]) -> tuple[int, Mapping[int, int]]:
     """(d, d * terms) for d the lcm of the coefficients' denominators, so the
-    scaled coefficients are integers."""
+    scaled coefficients are integers: (1, terms) itself when every one is an
+    int already, and a Fraction with denominator 1 comes back as an int."""
+    if set(map(type, terms.values())) <= {int}:
+        return 1, terms
     d = lcm(*[c.denominator for c in terms.values()])
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 

@@ -16,6 +16,7 @@ point sets indexed by the same tableaux.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, combinations, groupby, product
 from math import comb
 from typing import Iterator, Mapping, Sequence
@@ -221,41 +222,6 @@ def _tableau_rank(top: Sequence[int], bottom: Sequence[int], n: int, tail: int =
 # -- projection of P (x) P onto column heights (s+2, s-2) -------------------------
 
 
-def _pair_block(pairs: Sequence[tuple[int, int]], d: Mapping[int, dict]) -> dict[int, Coeff]:
-    """The unnormalized skew coefficients of one tuple of k >= 1 pairs: the
-    signed sum of the wedges d[u] ^ d[v] over the ways to split the pairs
-    into u and v.
-
-    The entries are 2-forms, which commute, so d[u] ^ d[v] = d[v] ^ d[u]:
-    eps and its complement give one wedge, so the first pair's side is
-    fixed, and the splits that give one unordered {u, v} (as pairs (a, a)
-    do) are summed into one multiplicity before any wedge is formed.  On a
-    semistandard tableau's pairs, splits meet only by toggling a pair (a, a)
-    or by swapping u and v, which give equal sign products, so no
-    multiplicity sums to zero (and a zero one would add only zeros, which
-    are dropped).
-    """
-    k = len(pairs)
-    splits: dict[tuple[int, int], int] = {}
-    for eps in product((0, 1), repeat=k - 1):
-        full = (0,) + eps
-        umask, su = sorted_mask([pairs[j][full[j]] for j in range(k)])
-        vmask, sv = sorted_mask([pairs[j][1 - full[j]] for j in range(k)])
-        if not (su and sv and d[umask] and d[vmask]):
-            continue  # a repeated index, or a contraction that vanishes
-        key = (umask, vmask) if umask <= vmask else (vmask, umask)
-        splits[key] = splits.get(key, 0) + su * sv
-    block: dict[int, Coeff] = {}
-    for (umask, vmask), times in splits.items():
-        if umask == vmask:
-            wedge = _square_terms(d[umask])
-        else:
-            wedge = wedge_terms(d[umask], d[vmask])
-        for mm, c in wedge.items():
-            block[mm] = block.get(mm, 0) + times * c
-    return _nonzero(block)
-
-
 def iter_projection_blocks(
     P: Multivector,
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Coeff], int]]:
@@ -277,16 +243,16 @@ def iter_projection_blocks(
     The skew over the four indices of the product of two pair-contracted
     2-forms is exactly their wedge, so each block is a signed sum of wedges
     D[u] ^ D[v] of the contractions D[u] = i(e^u)P, restricted to their
-    terms above a_k.  The first tableau's block is evaluated directly
-    (``_pair_block``), where most failures stop.  The tableaux after it come
-    in groups that share (a, b_1..b_(k-1)) and differ only in b_k.  A block
-    is linear in the entry D[R | b_k] on b_k's side, so ``_packed_groups``
-    evaluates it at a packed covector that holds each b_k in its own slot,
-    which decides the whole group in one pass.  A group whose blocks all
-    vanish yields an empty block per tableau; the tableaux of any other
-    group are evaluated directly, so every nonempty block (its Fraction
-    values too) is the one-at-a-time one.  When P touches at most s+1
-    indices it lies in Lambda^s of a space of that dimension, so it is
+    terms above a_k.  Every block is evaluated one way, by ``_Blocks``: an
+    oriented split sum over one contraction table of lam * P.  The first
+    tableau's block is evaluated directly, where most failures stop.  The
+    tableaux after it come in groups that share (a, b_1..b_(k-1)) and differ
+    only in b_k, and the same sum at a packed covector that holds each b_k
+    in its own slot decides the whole group in one pass.  A group whose
+    blocks all vanish yields an empty block per tableau; the tableaux of any
+    other group are evaluated directly, so every nonempty block (its
+    Fraction values too) is the one-at-a-time one.  When P touches at most
+    s+1 indices it lies in Lambda^s of a space of that dimension, so it is
     decomposable and nothing is yielded; nor below grade 2, where the shape
     has no component.
     """
@@ -299,55 +265,56 @@ def iter_projection_blocks(
     if k == 0:
         yield (), _square_terms(P.terms), 6
         return
-    d = _Contractions(P.terms)
+    blocks = _Blocks(P.terms, k)
     denom = 3 * (1 << k)
-
-    def direct(pairs: tuple[tuple[int, int], ...]) -> dict[int, Coeff]:
-        low = (1 << pairs[-1][0]) - 1
-        return {m: c for m, c in _pair_block(pairs, d).items() if not m & low}
-
     tableaux = _two_column_tableaux(touched, TwoColumnShape(k, k))
-    pairs = tuple(zip(*next(tableaux)))  # a = b = the k lowest touched, below touched[-4]
-    yield pairs, direct(pairs), denom
-    vanishes = _packed_groups(P.terms, touched, k)
+    top, bottom = next(tableaux)  # a = b = the k lowest touched, below touched[-4]
+    yield tuple(zip(top, bottom)), blocks.direct(top, bottom), denom
+    blocks.pack(touched)
     for (top, head), group in groupby(tableaux, key=lambda tableau: (tableau[0], tableau[1][:-1])):
         if top[-1] >= touched[-4]:
             continue  # fewer than four touched indices above a_k
-        group = [tuple(zip(top, bottom)) for _, bottom in group]
-        passed = vanishes(top, head, len(group))
-        for pairs in group:
-            yield pairs, {} if passed else direct(pairs), denom
+        bottoms = [bottom for _, bottom in group]
+        passed = blocks.vanishes(top, head, len(bottoms))
+        for bottom in bottoms:
+            yield tuple(zip(top, bottom)), {} if passed else blocks.direct(top, bottom), denom
 
 
-def _packed_groups(terms: Mapping[int, Coeff], touched: Sequence[int], k: int):
-    """The packed group test of ``iter_projection_blocks`` on the grade-
-    (k+2) P with these terms and touched indices: a function of (top, head,
-    cnt) that is true exactly when the blocks of the tableaux with first
-    column a = top and second column head + (b,), for the cnt largest
-    touched b, all vanish.  Those are a group's tableaux, since b runs over
-    the touched indices from max(a_k, b_(k-1) + 1) on.
+class _Blocks:
+    """The blocks of ``iter_projection_blocks`` for the grade-(k+2) P with
+    these terms, each an oriented split sum over one contraction table of
+    lam * P, the integer multiple ``_cleared`` gives.
 
     Orientation.  A block sums sign(u) * sign(v) * D[u] ^ D[v] over the
-    ways to split the pairs into sequences u and v, with one pair's side
-    fixed (``_pair_block`` fixes the first).  2-forms commute and the sign
-    product is symmetric in u and v, so fixing instead a_k on the u side
-    and b = b_k on the v side gives the same block.  b exceeds every other
-    entry of v (b_t < b and a_t <= b_t for t < k), so it sorts last and
-    adds no sign: the block is the sum over the splits of the first k-1
-    pairs of sigma * D[L] ^ D[R | b], for L the mask of u (with a_k), R
-    that of v without b, and sigma the product of their sorting signs.
+    splits of the pairs into sequences u and v, one per unordered {u, v}.
+    2-forms commute and the sign product is symmetric in u and v, so fixing
+    a_k on the u side and b = b_k on the v side counts each once.  b exceeds
+    every other entry of v (b_t < b and a_t <= b_t for t < k), so it sorts
+    last and adds no sign: the block is the sum over the splits of the first
+    k-1 pairs of sigma * D[L] ^ X[R] with X[R] = D[R | b], for L the mask
+    of u (with a_k), R that of v without b, and sigma the product of their
+    sorting signs.  Splits that give one (L, R), as toggling a pair (a, a)
+    does, are summed into one multiplicity before any wedge is formed.
+    ``_sums`` forms the sum over (L, R) of times * D[L] ^ X[R], both
+    restricted to their terms above a_k, which are built on first use and
+    kept per (L, a_k) and (R, a_k).
 
-    Packed covector.  That block is linear in D[R | b] = i(e^(R | b))P, so
-    with lam * P the integer multiple ``_cleared`` gives, and D its
-    contractions, row R is the contraction E[R] = i(phi_R)(lam * P) at the
-    packed covector phi_R = the sum of 2^(w*slot(b)) * e^(R | b) over the
-    touched b above R's entries, where slot(b) counts the touched indices
-    above b.  Slots run in descending b, so a group's cnt valid b's hold
-    its cnt lowest slots.  The sums over the splits of sigma * D[L] ^ E[R],
-    both restricted to their terms above a_k, then hold in slot b of
-    sums[F] lam^2 times the block of (a, head + (b,)) at F, for every valid
-    b.  The group passes exactly when every sums[F] & (2^(w*cnt) - 1) is 0.
-    Rows, and D[L] and E[R] above each a_k, are built on first use and kept.
+    Direct blocks.  ``direct`` takes X[R] = D[R | b], the block equation at
+    a one-term covector, and divides a nonempty block by lam^2 once, so it
+    is the block of P itself, Fraction values included.  When L = R | b, as
+    on every split of the first tableau, both operands are one kept entry
+    and ``_square_terms`` forms their wedge at half the products.
+
+    Packed covector.  The block is linear in D[R | b] = i(e^(R | b))(lam *
+    P), so ``vanishes`` takes X[R] = E[R], the contraction at the packed
+    covector phi_R = the sum of 2^(w*slot(b)) * e^(R | b) over the touched b
+    above R's entries, where slot(b) counts the touched indices above b.
+    Slots run in descending b, so a group's cnt valid b's hold its cnt
+    lowest slots, and slot b of sums[F] holds lam^2 times the block of (a,
+    head + (b,)) at F, for every valid b.  The group passes exactly when
+    every sums[F] & (2^(w*cnt) - 1) is 0.  ``pack`` fixes w and the slots
+    once the first group is reached; rows E[R] are built on first use and
+    kept.
 
     Slot width.  A valid slot sums at most 2^(k-1) splits (merged splits add
     their multiplicities, which sum to at most as many), each the
@@ -363,39 +330,68 @@ def _packed_groups(terms: Mapping[int, Coeff], touched: Sequence[int], k: int):
     0.  If they are all 0, the masked bits are 0.  A packed int holds at
     most |touched| slots, so no chunking is needed.
     """
-    _, ints = _cleared(terms)
-    most = max(map(abs, ints.values()))
-    w = ((6 << (k - 1)) * most * most).bit_length() + 2
-    shift = {1 << (b - 1): w * slot for slot, b in enumerate(reversed(touched))}
-    table = _Contractions(ints)
-    rows: dict[int, dict[int, int]] = {}
-    lefts: dict[tuple[int, int], dict[int, int]] = {}  # D[L] above a_k, per (L, a_k)
-    rights: dict[tuple[int, int], dict[int, int]] = {}  # E[R] above a_k, per (R, a_k)
 
-    def vanishes(top: tuple[int, ...], head: tuple[int, ...], cnt: int) -> bool:
+    __slots__ = ("k", "lam", "table", "kept", "rows", "packed", "w", "shift")
+
+    def __init__(self, terms: Mapping[int, Coeff], k: int):
+        self.k = k
+        self.lam, ints = _cleared(terms)
+        self.table = _Contractions(ints)
+        self.kept: dict[tuple[int, int], dict[int, int]] = {}  # D[u] above a_k, per (u, a_k)
+        self.rows: dict[int, dict[int, int]] = {}  # E[R], per R
+        self.packed: dict[tuple[int, int], dict[int, int]] = {}  # E[R] above a_k, per (R, a_k)
+
+    def pack(self, touched: Sequence[int]) -> None:
+        """Fix the slot width w and each touched b's shift w * slot(b)."""
+        most = max(map(abs, self.table.terms.values()))
+        self.w = ((6 << (self.k - 1)) * most * most).bit_length() + 2
+        self.shift = {1 << (b - 1): self.w * slot for slot, b in enumerate(reversed(touched))}
+
+    def _entry(self, u: int, a: int) -> dict[int, int]:
+        if (u, a) not in self.kept:
+            low = (1 << a) - 1
+            self.kept[u, a] = {xy: c for xy, c in self.table[u].items() if not xy & low}
+        return self.kept[u, a]
+
+    def _row(self, R: int, a: int) -> dict[int, int]:
+        if (R, a) not in self.packed:
+            if R not in self.rows:
+                phi = {R | bit: 1 << at for bit, at in self.shift.items() if bit > R}
+                self.rows[R] = self.table.interior(phi)
+            low = (1 << a) - 1
+            self.packed[R, a] = {zw: z for zw, z in self.rows[R].items() if not zw & low}
+        return self.packed[R, a]
+
+    def _sums(self, top: tuple[int, ...], head: tuple[int, ...], right) -> dict[int, int]:
         a = top[-1]
-        low = (1 << a) - 1
         splits: dict[tuple[int, int], int] = {}
-        for eps in product((0, 1), repeat=k - 1):
+        for eps in product((0, 1), repeat=self.k - 1):
             L, su = sorted_mask([pair[e] for pair, e in zip(zip(top, head), eps)] + [a])
             R, sv = sorted_mask([pair[1 - e] for pair, e in zip(zip(top, head), eps)])
             if su and sv:
                 splits[L, R] = splits.get((L, R), 0) + su * sv
         sums: dict[int, int] = {}
         for (L, R), times in splits.items():
-            if (L, a) not in lefts:
-                lefts[L, a] = {xy: c for xy, c in table[L].items() if not xy & low}
-            if R not in rows:
-                phi = {R | bit: 1 << at for bit, at in shift.items() if bit > R}
-                rows[R] = table.interior(phi)
-            if (R, a) not in rights:
-                rights[R, a] = {zw: z for zw, z in rows[R].items() if not zw & low}
-            for F, z in wedge_terms(lefts[L, a], rights[R, a]).items():
+            left, other = self._entry(L, a), right(R, a)
+            wedge = _square_terms(left) if left is other else wedge_terms(left, other)
+            for F, z in wedge.items():
                 sums[F] = sums.get(F, 0) + times * z
-        mask = (1 << (w * cnt)) - 1
-        return not any(z & mask for z in sums.values())
+        return sums
 
-    return vanishes
+    def direct(self, top: tuple[int, ...], bottom: tuple[int, ...]) -> dict[int, Coeff]:
+        """The block of the tableau (top, bottom)."""
+        bit = 1 << (bottom[-1] - 1)
+        block = _nonzero(self._sums(top, bottom[:-1], lambda R, a: self._entry(R | bit, a)))
+        if block and self.lam > 1:
+            square = self.lam * self.lam
+            return {F: Fraction(z, square) for F, z in block.items()}
+        return block
+
+    def vanishes(self, top: tuple[int, ...], head: tuple[int, ...], cnt: int) -> bool:
+        """Whether the blocks of (top, head + (b,)) all vanish, for the cnt
+        largest touched b."""
+        mask = (1 << (self.w * cnt)) - 1
+        return not any(z & mask for z in self._sums(top, head, self._row).values())
 
 
 __all__ = [

@@ -22,7 +22,9 @@ anything, so they live with the tests:
 * the whole lex family of coefficients of the projection of P (x) P onto
   the shape (s+2, s-2), one block per tuple of symmetrized pairs, and the
   map of its nonzero coefficients (the library's optimal test reads only
-  the semistandard coordinates of the component).
+  the semistandard coordinates of the component); each block is stated
+  on sorted index tuples from ``basis_interior`` and inversion-count
+  signs, with no ``plk`` kernel.
 
 Partitions are plain tuples of weakly decreasing positive row lengths.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -39,9 +41,7 @@ from plk.multivector import (
     Coeff,
     InputError,
     Multivector,
-    _Contractions,
     _is_int,
-    _square_terms,
     indices_of,
     interior,
     require_vector,
@@ -50,7 +50,7 @@ from plk.multivector import (
     wedge,
     wedge_terms,
 )
-from plk.young import TwoColumnShape, _pair_block
+from plk.young import TwoColumnShape
 
 from util import pairing
 
@@ -423,26 +423,69 @@ def term_subsets(terms: Iterable[int], r: int) -> set[int]:
 # -- the lex family of the (s+2, s-2) projection -----------------------------------
 
 
+def _sort_sign(u: Sequence[int]) -> int:
+    """The sign of sorting u: (-1)**inv, inv counting its pairs out of order."""
+    return -1 if sum(x > y for x, y in combinations(u, 2)) % 2 else 1
+
+
+def projection_block(
+    terms: dict, pairs: Sequence[tuple[int, int]], memo: dict
+) -> dict[tuple[int, ...], Coeff]:
+    """The unnormalized skew coefficients of one tuple of k pairs, by sorted
+    4-subset: the sum over the ways to split the pairs into sequences u and
+    v, the first pair's side fixed, of sign(u) * sign(v) * D[u] ^ D[v].
+
+    D[u] = i(e^u)P is ``basis_interior`` at sorted u, and sign(u) the sign
+    of sorting u (no split with a repeated index counts).  The wedge of two
+    forms puts inversion_sign(xy, zw) * D[u]_xy * D[v]_zw at the sorted xy +
+    zw when xy and zw are disjoint.  At k = 0 the one split is u = v = (),
+    and the block is P ^ P.  ``terms`` maps P's sorted index tuples to its
+    coefficients, and ``memo`` keeps each D[u] per sorted u and each D[u] ^
+    D[v] per unordered pair of them across calls (the D are 2-forms, which
+    commute).
+    """
+    k = len(pairs)
+    sides = [(0,) + eps for eps in product((0, 1), repeat=k - 1)] if k else [()]
+    block: dict[tuple[int, ...], Coeff] = {}
+    for side in sides:
+        u = [pair[e] for pair, e in zip(pairs, side)]
+        v = [pair[1 - e] for pair, e in zip(pairs, side)]
+        if len(set(u)) < k or len(set(v)) < k:
+            continue
+        key = tuple(sorted((tuple(sorted(u)), tuple(sorted(v)))))
+        if key not in memo:
+            for w in key:
+                if w not in memo:
+                    memo[w] = [(xy, set(xy), c) for xy, c in basis_interior(terms, w).items()]
+            wedged: dict[tuple[int, ...], Coeff] = {}
+            for xy, xy_set, a in memo[key[0]]:
+                for zw, zw_set, b in memo[key[1]]:
+                    if not xy_set & zw_set:
+                        F = tuple(sorted(xy + zw))
+                        wedged[F] = wedged.get(F, 0) + inversion_sign(xy, zw) * a * b
+            memo[key] = list(wedged.items())
+        sign = _sort_sign(u) * _sort_sign(v)
+        for F, c in memo[key]:
+            block[F] = block.get(F, 0) + sign * c
+    return {F: c for F, c in block.items() if c}
+
+
 def lex_projection_blocks(
-    P: Multivector, contractions: _Contractions | None = None
-) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Coeff], int]]:
+    P: Multivector,
+) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[tuple[int, ...], Coeff], int]]:
     """Blocks of projection coefficients, one per tuple of symmetrized pairs.
 
     Yields (pairs, block, denom) where ``pairs`` is a lexicographically
-    increasing tuple of s-2 index pairs (a <= b), ``block`` maps each 4-subset
-    mask {c<d<e<f} to its nonzero unnormalized skew coefficient, and the
-    projection coefficient at (pairs, subset) equals block[subset] / denom.
-
-    The skew over the four indices of the product of two pair-contracted
-    2-forms is exactly their wedge, so each block is a signed sum of wedges
-    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, memoized on first use
-    and keyed by the mask of u; an unsorted u contributes the sign of
-    sorting it.  ``contractions`` is P's table of them when the caller holds
-    one already, which the scan then shares.  Pair tuples come in lex order,
-    and only inside the indices P touches: the other blocks are zero.  When
-    P touches at most s+1 indices it lies in Lambda^s of a space of that
-    dimension, so it is decomposable and nothing is yielded; nor below grade
-    2, where the shape has no component.
+    increasing tuple of s-2 index pairs (a <= b), ``block`` maps each sorted
+    4-subset (c, d, e, f) to its nonzero unnormalized skew coefficient
+    (``projection_block``), and the projection coefficient at (pairs,
+    subset) equals block[subset] / denom.  The skew over the four indices of
+    the product of two pair-contracted 2-forms is exactly their wedge, which
+    is why a block is a signed sum of wedges.  Pair tuples come in lex
+    order, and only inside the indices P touches: the other blocks are zero.
+    When P touches at most s+1 indices it lies in Lambda^s of a space of
+    that dimension, so it is decomposable and nothing is yielded; nor below
+    grade 2, where the shape has no component.
     """
     require_vector(P, "projection target")
     s = P.grade
@@ -450,17 +493,11 @@ def lex_projection_blocks(
     if s < 2 or len(touched) <= s + 1:
         return
     k = s - 2
-    if k == 0:
-        yield (), _square_terms(P.terms), 6
-        return
-
-    # D[u] = i(e^u)P, the 2-form P(u, x, y), empty when u lies in no term.
-    d = _Contractions(P.terms) if contractions is None else contractions
-
+    terms, memo = dict(P.items()), {}
     pair_list = list(combinations_with_replacement(touched, 2))
-    denom = 3 * (1 << k)
+    denom = 3 * (1 << k) if k else 6  # at k = 0 the one split is not halved
     for pairs in combinations_with_replacement(pair_list, k):
-        yield pairs, _pair_block(pairs, d), denom
+        yield pairs, projection_block(terms, pairs, memo), denom
 
 
 def project_tensor_square(
@@ -474,6 +511,6 @@ def project_tensor_square(
     """
     out: dict[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], Fraction] = {}
     for pairs, block, denom in lex_projection_blocks(P):
-        for mask in sorted(block, key=indices_of):
-            out[(pairs, indices_of(mask))] = Fraction(block[mask], denom)
+        for F in sorted(block):
+            out[(pairs, F)] = Fraction(block[F], denom)
     return out

@@ -1,13 +1,15 @@
 """Metamorphic tests: decomposability is invariant under signed index
 permutations, nonzero scalings, GL(n, Z) and the Hodge complement, so every
 verdict must be too.  A scaling by lam also keeps every count and witness
-position, and scales each witness value by lam**2."""
+position, in both contraction modes, and scales each witness value by
+lam**2."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from plk import (
     Multivector,
+    contraction_criterion,
     factorize,
     is_simple_oracle,
     kernel_dimension,
@@ -19,8 +21,12 @@ from plk.randgen import random_nonsimple, random_simple
 
 from util import rand_mv, seeded, sparse_rank
 
-SCALES = (Fraction(1, 3), Fraction(5, 7), -2)
+# Fraction(1) makes an int input's twin with every coefficient Fraction(c, 1),
+# which multivector._cleared must hand on as ints, so every report, count and
+# witness of the twin equals the input's.
+SCALES = (Fraction(1, 3), Fraction(5, 7), -2, Fraction(1))
 CELLS = [(4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 2), (7, 3), (7, 4), (4, 4)]
+RANDOMIZED = {"mode": "randomized", "trials": 8, "seed": 5, "bound": 7}
 
 
 def act(perm, signs, p, scale=1):
@@ -73,9 +79,11 @@ def test_signed_permutations_and_scalings_keep_every_verdict():
             signs = {i: rng.choice((1, -1)) for i in range(1, n + 1)}
             q = act(perm, signs, p, scale)
             reports = run_all_criteria(p)
-            witnessed.update(rep.criterion for rep in reports if rep.witness)
+            randomized = [contraction_criterion(p, **RANDOMIZED)]
+            witnessed.update(rep.criterion for rep in reports + randomized if rep.witness)
             for lam in SCALES:
                 assert_scaled(reports, run_all_criteria(p * lam), lam)
+                assert_scaled(randomized, [contraction_criterion(p * lam, **RANDOMIZED)], lam)
             before = [(rep.criterion, rep.verdict) for rep in reports]
             assert verdicts(q) == before, (str(p), str(q))
             assert kernel_dimension(q) == kernel_dimension(p), str(p)
@@ -84,7 +92,8 @@ def test_signed_permutations_and_scalings_keep_every_verdict():
                 factors = [f.terms for f in factorize(q)]
                 assert sparse_rank(moved) == sparse_rank(factors) == s, str(p)
                 assert sparse_rank(moved + factors) == s, (str(p), str(q))
-    assert witnessed == {rep.criterion for rep in reports}  # every criterion failed somewhere
+    # every criterion failed somewhere, the randomized contraction too
+    assert witnessed == {rep.criterion for rep in reports + randomized}
 
 
 def unimodular(rng, n, steps=8):
@@ -206,5 +215,8 @@ def test_a_fraction_input_failing_past_the_first_optimal_group_keeps_its_pins():
          Fraction(-1, 28)),
         ("oracle", False, 56, ("support-rank", 6), (), 6),
     ]
+    randomized = [contraction_criterion(P, **RANDOMIZED)]
+    assert not randomized[0].verdict
     for lam in SCALES:
         assert_scaled(reports, run_all_criteria(P * lam), lam)
+        assert_scaled(randomized, [contraction_criterion(P * lam, **RANDOMIZED)], lam)

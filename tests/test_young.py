@@ -17,7 +17,7 @@ from plk import (
     young_dim,
 )
 from plk import young
-from plk.multivector import _Contractions, mask_of, sorted_mask, touched_indices
+from plk.multivector import mask_of, sorted_mask, touched_indices
 from plk.randgen import random_nonsimple, random_simple, random_vector
 from plk.young import _tableau_rank, _two_column_tableaux
 
@@ -30,6 +30,7 @@ from reference import (
     isotypic_probe,
     partitions,
     project_tensor_square,
+    projection_block,
     sn_character,
     standard_tableaux_count,
     two_column_partition,
@@ -523,24 +524,23 @@ def test_projection_empty_below_grade_two():
 
 
 def test_merged_split_multiplicities_are_nonzero():
-    # A projection block sums the splits of a tableau's pairs into u and v
-    # (the first pair's side fixed) that give one unordered {u, v} into one
+    # A projection block sums the splits of a tableau's pairs into u and v,
+    # with a_k on the u side and b_k on the v side, and sums the splits that
+    # give one (L, R) (L the mask of u, R that of v without b_k) into one
     # multiplicity.  Recomputed here from the signs of the index sequences,
     # no such multiplicity is zero, so every merged split forms a wedge.
     keys = 0
     for n in range(1, 9):
         for k in range(1, 5):
             for top, bottom in _two_column_tableaux(range(1, n + 1), TwoColumnShape(k, k)):
-                pairs = list(zip(top, bottom))
+                pairs = list(zip(top, bottom))[:-1]
                 times = {}
-                for eps in product((0, 1), repeat=k - 1):
-                    side = (0,) + eps
-                    umask, su = sorted_mask([p[e] for p, e in zip(pairs, side)])
-                    vmask, sv = sorted_mask([p[1 - e] for p, e in zip(pairs, side)])
+                for side in product((0, 1), repeat=k - 1):
+                    L, su = sorted_mask([p[e] for p, e in zip(pairs, side)] + [top[-1]])
+                    R, sv = sorted_mask([p[1 - e] for p, e in zip(pairs, side)])
                     if su and sv:
-                        key = tuple(sorted((umask, vmask)))
-                        times[key] = times.get(key, 0) + su * sv
-                assert all(times.values()), (pairs, times)
+                        times[L, R] = times.get((L, R), 0) + su * sv
+                assert all(times.values()), (top, bottom, times)
                 keys += len(times)
     assert keys > 1000
 
@@ -548,22 +548,23 @@ def test_merged_split_multiplicities_are_nonzero():
 # -- the packed group test ---------------------------------------------------------
 
 
-def _scan(P, pair_block):
+def _scan(P):
     """(pairs, block) per tableau that iter_projection_blocks visits, in its
-    order, each block a direct ``pair_block`` over P's full contraction
-    table restricted to the 4-subsets above a_k; none when P touches at
-    most s+1 indices."""
+    order, each block ``reference.projection_block`` (from its definition,
+    on index tuples) restricted to the 4-subsets above a_k; none when P
+    touches at most s+1 indices."""
     touched = touched_indices(P.terms)
     k = P.grade - 2
     if len(touched) <= P.grade + 1:
         return []
-    table = _Contractions(P.terms)
+    terms, memo = dict(P.items()), {}
     out = []
     for top, bottom in _two_column_tableaux(touched, TwoColumnShape(k, k)):
         if top[-1] < touched[-4]:
             pairs = tuple(zip(top, bottom))
             low = (1 << top[-1]) - 1
-            out.append((pairs, {m: c for m, c in pair_block(pairs, table).items() if not m & low}))
+            block = {mask_of(F): c for F, c in projection_block(terms, pairs, memo).items()}
+            out.append((pairs, {m: c for m, c in block.items() if not m & low}))
     return out
 
 
@@ -589,17 +590,17 @@ def _at_the_bound(k, sign, M=2**80):
 def test_packed_groups_yield_the_direct_blocks(monkeypatch):
     # iter_projection_blocks evaluates its first tableau directly, then
     # decides each group of tableaux that differ only in b_k by one packed
-    # pass.  It must yield the direct blocks of the same tableaux in the same
-    # order, and evaluate directly exactly the first tableau and the groups
-    # that hold a nonzero block.
-    pair_block = young._pair_block
+    # pass.  It must yield the blocks of the same tableaux in the same order,
+    # and evaluate directly (``_Blocks.direct``) exactly the first tableau
+    # and the tableaux of the groups that hold a nonzero block.
+    direct_block = young._Blocks.direct
     direct = []
 
-    def recorded(pairs, d):
-        direct.append(pairs)
-        return pair_block(pairs, d)
+    def recorded(blocks, top, bottom):
+        direct.append(tuple(zip(top, bottom)))
+        return direct_block(blocks, top, bottom)
 
-    monkeypatch.setattr(young, "_pair_block", recorded)
+    monkeypatch.setattr(young._Blocks, "direct", recorded)
     rng = seeded(408)
     cases = []
     for n, s in [(7, 3), (8, 3), (7, 3), (8, 3), (8, 4), (9, 4), (8, 5)]:
@@ -618,7 +619,7 @@ def test_packed_groups_yield_the_direct_blocks(monkeypatch):
     for P, reference in [(P, True) for P in cases + bounds] + [(P, False) for P in scaled]:
         direct.clear()
         got = list(young.iter_projection_blocks(P))
-        scan = _scan(P, pair_block)
+        scan = _scan(P)
         denom = 3 * 2 ** (P.grade - 2)
         assert [(p, {m: repr(c) for m, c in b.items()}, d) for p, b, d in got] == [
             (p, {m: repr(c) for m, c in b.items()}, denom) for p, b in scan
