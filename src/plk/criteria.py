@@ -26,9 +26,12 @@ past it, one packed pass decides every equation as the primal equation at
 a packed covector (``_pair_sums``), the sum of 2^(w*j) * e^R over the
 quantifiers R: its big-int coefficients hold every basis equation in its
 own w-bit slot, 0 exactly when the equation is.  The first failing
-equation the pass names is then evaluated directly on P, so witnesses and
-counts are those of the one-at-a-time sweep.  Degenerate grades (0 and 1)
-are decomposable by convention, as is the zero multivector.
+equation the pass names is then evaluated directly, so witnesses and counts
+are those of the one-at-a-time sweep.  Every criterion here but the oracle
+is quadratic in P and runs on lam * P, P's denominators cleared once at its
+entry (``_cleared``); only a witness value is divided back, by lam^2.
+Degenerate grades (0 and 1) are decomposable by convention, as is the zero
+multivector.
 """
 
 from __future__ import annotations
@@ -168,12 +171,12 @@ _LINEAR = {
 def _pluecker(P: Multivector, name: str) -> CriterionReport:
     """The linear criterion ``name`` on a vector P: the sweep on its terms."""
     require_vector(P, "P")
-    return _sweep(P.dim, P.grade, P.terms, name)
+    return _sweep(P.dim, P.grade, *_cleared(P.terms), name)
 
 
-def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionReport:
-    """Shared sweep over the terms of a grade-s vector P in dimension n:
-    quantify over basis covectors of one grade, lex order.
+def _sweep(n: int, s: int, lam: int, terms: Mapping[int, int], name: str) -> CriterionReport:
+    """Shared sweep over the integer terms of lam * P, for a grade-s vector P
+    in dimension n: quantify over basis covectors of one grade, lex order.
 
     Covectors outside the indices P touches give zero equations (i(e^S)P needs
     S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
@@ -197,8 +200,8 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
     failing quantifier, if any: ``_pair_sums`` evaluates the primal equation
     at a packed covector with one slot per quantifier, and the slots hold
     every primal and dual equation.  The failing equation is then evaluated
-    directly on P, as above, so the witness, its value (a Fraction on
-    Fraction input) and the count do not depend on the packed pass.
+    directly, as above, so the witness and the count do not depend on the
+    packed pass; its value, quadratic in P, is divided by lam^2 here, once.
     """
     shift, dual = _LINEAR[name]
     if s < shift:
@@ -244,6 +247,8 @@ def _sweep(n: int, s: int, terms: Mapping[int, Coeff], name: str) -> CriterionRe
         return CriterionReport(name, True, comb0(n, quant_grade) * per_equation)
     S = indices_of(Q)
     comp, val = _first_component(out)
+    if lam > 1:
+        val = Fraction(val, lam * lam)
     checked = (subset_rank(S, n) - 1) * per_equation + subset_rank(comp, n)
     symbol = "Phi" if name == "classical" else "Psi"
     witness = Witness(
@@ -261,23 +266,23 @@ _PACKED_BITS = 1 << 24
 
 
 def _pair_sums(
-    terms: Mapping[int, Coeff], bits: Sequence[int], s: int, d: int
+    ints: Mapping[int, int], bits: Sequence[int], s: int, d: int
 ) -> Iterator[tuple[int, list[int], dict[int, int]]]:
-    """The linear criteria with shift d on the grade-s P with these terms,
-    ``bits`` the indices P touches, evaluated at packed covectors: (w,
-    slots, sums) per lex chunk of the (s-d)-subsets of ``bits``.
+    """The linear criteria with shift d on the grade-s P whose integer
+    multiple lam * P has the terms ``ints``, ``bits`` the indices P touches,
+    evaluated at packed covectors: (w, slots, sums) per lex chunk of the
+    (s-d)-subsets of ``bits``.
 
-    With lam * P the integer multiple ``_cleared`` gives, ``sums`` is the
-    primal equation i(phi)(lam * P) ^ (lam * P) at the packed covector phi,
-    the sum of 2^(w*j) * e^R over the chunk's subsets R, j their lex
-    position in the chunk.  It is linear in phi, so the e_K coefficient
-    ``sums[K]`` holds one w-bit slot per R (balanced: a negative value
-    borrows from the slots above), and slot R is lam^2 times the e_K
-    coefficient of the primal equation at S = R.  That is
-    (-1)^d * lam^2 times the e_R coefficient of the dual equation at Q = K:
-    the two sum, over the d-subsets u of K, sign(R, u) * P[R | u] * sign(u,
-    K - u) * P[K - u] and sign(K - u, u) * P[K - u] * sign(u, R) * P[u | R],
-    and the signs differ by (-1)^(d(s-d)) * (-1)^(ds) = (-1)^d.
+    ``sums`` is the primal equation i(phi)(lam * P) ^ (lam * P) at the
+    packed covector phi, the sum of 2^(w*j) * e^R over the chunk's subsets
+    R, j their lex position in the chunk.  It is linear in phi, so the e_K
+    coefficient ``sums[K]`` holds one w-bit slot per R (balanced: a
+    negative value borrows from the slots above), and slot R is the e_K
+    coefficient of the primal equation of lam * P at S = R.  That is (-1)^d
+    times the e_R coefficient of its dual equation at Q = K: the two sum,
+    over the d-subsets u of K, sign(R, u) * P[R | u] * sign(u, K - u) *
+    P[K - u] and sign(K - u, u) * P[K - u] * sign(u, R) * P[u | R], and the
+    signs differ by (-1)^(d(s-d)) * (-1)^(ds) = (-1)^d.
 
     A slot sums C(s+d, d) products, one per d-subset u of K, each at most
     M^2 in size for M = max |lam * P|, so w = bit_length(C(s+d, d) * M^2) + 2
@@ -287,7 +292,6 @@ def _pair_sums(
     Chunks hold as many slots as keep keys x w x slots under
     ``_PACKED_BITS``, for C(|bits|, s+d) keys at most.
     """
-    _, ints = _cleared(terms)
     top = max(map(abs, ints.values()))
     w = (comb0(s + d, d) * top * top).bit_length() + 2
     slots = list(map(sum, combinations(bits, s - d)))
@@ -436,9 +440,11 @@ def contraction_criterion(
 
     Both modes loop over sets of m sparse covectors (the exact mode wedges
     each set's phi onto the kept wedge of its longest seen row prefix), read
-    i(phi)P through one lazy table of P's basis contractions, and check it
-    with the improved relations, which decide decomposability for every
-    k >= 2 (with k = s, the improved sweep of P).  ``equations_checked``
+    i(phi)(lam * P) through one lazy table of the basis contractions of lam
+    * P, the integer multiple ``_cleared`` gives, and check it with the
+    improved relations, which decide decomposability for every k >= 2 (with
+    k = s, the improved sweep of P).  Each inner sweep divides its witness
+    value by lam^2, so the report is that of P itself.  ``equations_checked``
     counts C(n,k-2)*C(n,k+2) per set or trial: on a pass, for all dim Y[m,m]
     tableaux over 1..n or all trials; on a failure, for the t sets or trials
     before the witness, plus the witness check's own.  The witness names the
@@ -466,8 +472,9 @@ def contraction_criterion(
     m = s - k
     exact = mode == "symbolic"
     report_seed = None if exact else seed
+    lam, ints = _cleared(P.terms)
     if m == 0:
-        sweep = _sweep(n, s, P.terms, "improved")
+        sweep = _sweep(n, s, lam, ints, "improved")
         return CriterionReport(
             name, sweep.verdict, sweep.equations_checked, sweep.witness, seed=report_seed
         )
@@ -479,10 +486,10 @@ def contraction_criterion(
     else:
         label = "trial"
         point_sets, total = _random_points(n, m, trials, seed, bound), trials
-    table = _Contractions(P.terms)
+    table = _Contractions(ints)
     per = comb0(n, k - 2) * comb0(n, k + 2)
     for t, (points, phi) in enumerate(point_sets):
-        rep = _sweep(n, k, table.interior(phi), "improved")
+        rep = _sweep(n, k, lam, table.interior(phi), "improved")
         if not rep.verdict:
             alphas = [tuple(a.get(1 << x, 0) for x in range(n)) for a in points]
             witness = Witness(
@@ -511,8 +518,8 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
     tableau's is evaluated directly; past it, the tableaux that differ only
     in their last bottom entry are decided together by that sum at a packed
     covector, and only a group with a nonzero block is evaluated tableau by
-    tableau, each divided by lam^2, so the witness and its value (a Fraction
-    on Fraction input) are those of the one-at-a-time scan.
+    tableau, so the witness is that of the one-at-a-time scan; its value,
+    block[F] / denom with lam^2 in denom, is P's own, a Fraction.
     ``equations_checked`` counts the coordinates over 1..n up to and
     including the witness in that order, or all dim Y[s+2,s-2] of them
     (``equation_count``) on a pass; a coordinate that holds an index P does

@@ -16,13 +16,11 @@ point sets indexed by the same tableaux.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, combinations, groupby, product
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .multivector import (
-    Coeff,
     InputError,
     Multivector,
     _Contractions,
@@ -224,7 +222,7 @@ def _tableau_rank(top: Sequence[int], bottom: Sequence[int], n: int, tail: int =
 
 def iter_projection_blocks(
     P: Multivector,
-) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Coeff], int]]:
+) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, int], int]]:
     """Blocks of the semistandard coordinates of the projection of P (x) P
     onto the shape (s+2, s-2), one per tableau of the shape (s-2, s-2).
 
@@ -234,27 +232,27 @@ def iter_projection_blocks(
     1974), so the component vanishes exactly when they do.  Yields (pairs,
     block, denom) for the tableaux (a, b) inside the indices P touches, in
     the lex order of ``_two_column_tableaux``: ``pairs`` is zip(a, b),
-    ``block`` maps each 4-subset mask above a_k to its nonzero unnormalized
-    skew coefficient, and the projection coefficient at (pairs, subset) is
-    block[subset] / denom.  A coordinate that holds an index P does not touch
-    is zero, and so is a tableau with fewer than four touched indices above
-    a_k, which is skipped.
+    ``block`` maps each 4-subset mask above a_k to the nonzero unnormalized
+    skew coefficient of lam * P, the integer multiple ``_cleared`` gives
+    once, and the projection coefficient of P at (pairs, subset) is
+    block[subset] / denom, with lam^2 in denom.  A coordinate that holds an
+    index P does not touch is zero, and so is a tableau with fewer than four
+    touched indices above a_k, which is skipped.
 
     The skew over the four indices of the product of two pair-contracted
     2-forms is exactly their wedge, so each block is a signed sum of wedges
-    D[u] ^ D[v] of the contractions D[u] = i(e^u)P, restricted to their
-    terms above a_k.  Every block is evaluated one way, by ``_Blocks``: an
-    oriented split sum over one contraction table of lam * P.  The first
+    D[u] ^ D[v] of the contractions D[u] = i(e^u)(lam * P), restricted to
+    their terms above a_k.  Every block is evaluated one way, by
+    ``_Blocks``: an oriented split sum over one contraction table.  The first
     tableau's block is evaluated directly, where most failures stop.  The
     tableaux after it come in groups that share (a, b_1..b_(k-1)) and differ
     only in b_k, and the same sum at a packed covector that holds each b_k
     in its own slot decides the whole group in one pass.  A group whose
     blocks all vanish yields an empty block per tableau; the tableaux of any
-    other group are evaluated directly, so every nonempty block (its
-    Fraction values too) is the one-at-a-time one.  When P touches at most
-    s+1 indices it lies in Lambda^s of a space of that dimension, so it is
-    decomposable and nothing is yielded; nor below grade 2, where the shape
-    has no component.
+    other group are evaluated directly, so every nonempty block is the
+    one-at-a-time one.  When P touches at most s+1 indices it lies in
+    Lambda^s of a space of that dimension, so it is decomposable and nothing
+    is yielded; nor below grade 2, where the shape has no component.
     """
     require_vector(P, "projection target")
     s = P.grade
@@ -262,11 +260,12 @@ def iter_projection_blocks(
     if s < 2 or len(touched) <= s + 1:
         return
     k = s - 2
+    lam, ints = _cleared(P.terms)
     if k == 0:
-        yield (), _square_terms(P.terms), 6
+        yield (), _square_terms(ints), 6 * lam * lam
         return
-    blocks = _Blocks(P.terms, k)
-    denom = 3 * (1 << k)
+    blocks = _Blocks(ints, k)
+    denom = 3 * (1 << k) * lam * lam
     tableaux = _two_column_tableaux(touched, TwoColumnShape(k, k))
     top, bottom = next(tableaux)  # a = b = the k lowest touched, below touched[-4]
     yield tuple(zip(top, bottom)), blocks.direct(top, bottom), denom
@@ -281,9 +280,9 @@ def iter_projection_blocks(
 
 
 class _Blocks:
-    """The blocks of ``iter_projection_blocks`` for the grade-(k+2) P with
-    these terms, each an oriented split sum over one contraction table of
-    lam * P, the integer multiple ``_cleared`` gives.
+    """The blocks of ``iter_projection_blocks`` for a grade-(k+2) P with
+    these integer terms, each an oriented split sum over one contraction
+    table.
 
     Orientation.  A block sums sign(u) * sign(v) * D[u] ^ D[v] over the
     splits of the pairs into sequences u and v, one per unordered {u, v}.
@@ -300,27 +299,25 @@ class _Blocks:
     kept per (L, a_k) and (R, a_k).
 
     Direct blocks.  ``direct`` takes X[R] = D[R | b], the block equation at
-    a one-term covector, and divides a nonempty block by lam^2 once, so it
-    is the block of P itself, Fraction values included.  When L = R | b, as
-    on every split of the first tableau, both operands are one kept entry
-    and ``_square_terms`` forms their wedge at half the products.
+    a one-term covector.  When L = R | b, as on every split of the first
+    tableau, both operands are one kept entry and ``_square_terms`` forms
+    their wedge at half the products.
 
-    Packed covector.  The block is linear in D[R | b] = i(e^(R | b))(lam *
-    P), so ``vanishes`` takes X[R] = E[R], the contraction at the packed
-    covector phi_R = the sum of 2^(w*slot(b)) * e^(R | b) over the touched b
-    above R's entries, where slot(b) counts the touched indices above b.
-    Slots run in descending b, so a group's cnt valid b's hold its cnt
-    lowest slots, and slot b of sums[F] holds lam^2 times the block of (a,
-    head + (b,)) at F, for every valid b.  The group passes exactly when
-    every sums[F] & (2^(w*cnt) - 1) is 0.  ``pack`` fixes w and the slots
-    once the first group is reached; rows E[R] are built on first use and
-    kept.
+    Packed covector.  The block is linear in D[R | b] = i(e^(R | b))P, so
+    ``vanishes`` takes X[R] = E[R], the contraction at the packed covector
+    phi_R = the sum of 2^(w*slot(b)) * e^(R | b) over the touched b above
+    R's entries, where slot(b) counts the touched indices above b.  Slots
+    run in descending b, so a group's cnt valid b's hold its cnt lowest
+    slots, and slot b of sums[F] holds the block of (a, head + (b,)) at F,
+    for every valid b.  The group passes exactly when every sums[F] &
+    (2^(w*cnt) - 1) is 0.  ``pack`` fixes w and the slots once the first
+    group is reached; rows E[R] are built on first use and kept.
 
     Slot width.  A valid slot sums at most 2^(k-1) splits (merged splits add
     their multiplicities, which sum to at most as many), each the
     coefficient at F of a wedge of two 2-forms: 6 products D[L]_xy *
     D[R | b]_zw, one per 2-subset xy of F, each of size at most M^2 for M =
-    max |lam * P|.  So every valid slot v has |v| <= B = 6 * 2^(k-1) * M^2,
+    max |P|.  So every valid slot v has |v| <= B = 6 * 2^(k-1) * M^2,
     and w = bit_length(B) + 2 gives |v| < 2^w, so a nonzero v is no
     multiple of 2^w.  The slots above the valid ones (smaller b, or b not
     above R's entries, which rows leave out) add multiples of 2^(w*cnt),
@@ -331,12 +328,11 @@ class _Blocks:
     most |touched| slots, so no chunking is needed.
     """
 
-    __slots__ = ("k", "lam", "table", "kept", "rows", "packed", "w", "shift")
+    __slots__ = ("k", "table", "kept", "rows", "packed", "w", "shift")
 
-    def __init__(self, terms: Mapping[int, Coeff], k: int):
+    def __init__(self, terms: Mapping[int, int], k: int):
         self.k = k
-        self.lam, ints = _cleared(terms)
-        self.table = _Contractions(ints)
+        self.table = _Contractions(terms)
         self.kept: dict[tuple[int, int], dict[int, int]] = {}  # D[u] above a_k, per (u, a_k)
         self.rows: dict[int, dict[int, int]] = {}  # E[R], per R
         self.packed: dict[tuple[int, int], dict[int, int]] = {}  # E[R] above a_k, per (R, a_k)
@@ -378,14 +374,10 @@ class _Blocks:
                 sums[F] = sums.get(F, 0) + times * z
         return sums
 
-    def direct(self, top: tuple[int, ...], bottom: tuple[int, ...]) -> dict[int, Coeff]:
+    def direct(self, top: tuple[int, ...], bottom: tuple[int, ...]) -> dict[int, int]:
         """The block of the tableau (top, bottom)."""
         bit = 1 << (bottom[-1] - 1)
-        block = _nonzero(self._sums(top, bottom[:-1], lambda R, a: self._entry(R | bit, a)))
-        if block and self.lam > 1:
-            square = self.lam * self.lam
-            return {F: Fraction(z, square) for F, z in block.items()}
-        return block
+        return _nonzero(self._sums(top, bottom[:-1], lambda R, a: self._entry(R | bit, a)))
 
     def vanishes(self, top: tuple[int, ...], head: tuple[int, ...], cnt: int) -> bool:
         """Whether the blocks of (top, head + (b,)) all vanish, for the cnt

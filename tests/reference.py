@@ -11,9 +11,9 @@ anything, so they live with the tests:
   optimality remark: the Y[s,s] component of a nonzero P never vanishes,
   and the Y[s+2,s-2] component vanishes exactly on decomposable P);
 * the contraction i_P e^Q into covectors, the value of each linear
-  criterion's equation at one component, and Leibniz minors, all on
-  sorted index tuples with inversion-count signs (no bitmasks, no ``plk``
-  kernel);
+  criterion's equation at one component, Leibniz minors, and from them the
+  value a contraction witness names, all on sorted index tuples with
+  inversion-count signs (no bitmasks, no ``plk`` kernel);
 * the duality identity tying the two Pluecker formulations together,
   which pins the interior-product sign conventions;
 * the r-subsets inside a multivector's terms, which index the generators
@@ -384,6 +384,26 @@ def leibniz_minor(rows: Sequence[Sequence[Coeff]], columns: Sequence[int]) -> Co
                 break
         total += term
     return total
+
+
+def contraction_witness_value(
+    terms: dict, s: int, alphas: Sequence[Sequence[Coeff]], S: tuple[int, ...], C: tuple[int, ...]
+) -> Coeff:
+    """The value a contraction witness names: the e_C coefficient of the
+    improved equation at the quantifier S of i(phi)P, for P of grade s with
+    the given terms and phi = a_1 ^ ... ^ a_m the wedge of the covectors
+    whose coordinate rows are ``alphas`` (none when m = 0, where i(phi)P is
+    P).  phi's coefficient at the sorted m-subset I is the Leibniz minor of
+    ``alphas`` on I, and i(phi)P is the sum of phi_I * i(e^I)P, each from
+    ``basis_interior``."""
+    m, n = len(alphas), len(alphas[0]) if alphas else 0
+    omega: dict[tuple[int, ...], Coeff] = {}
+    for I in combinations(range(1, n + 1), m):
+        phi = leibniz_minor(alphas, [i - 1 for i in I])
+        if phi:
+            for R, c in basis_interior(terms, I).items():
+                omega[R] = omega.get(R, 0) + phi * c
+    return linear_equation_value(omega, s - m, "improved", S, C)
 
 
 def duality_identity_check(

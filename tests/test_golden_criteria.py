@@ -17,7 +17,7 @@ from plk.criteria import CRITERIA
 from plk.randgen import random_nonsimple, random_simple
 from plk.serialize import dump
 
-from reference import linear_equation_value
+from reference import contraction_witness_value, linear_equation_value
 from util import seeded
 
 LINEAR = ("classical", "dual", "improved", "dual-improved")
@@ -105,6 +105,33 @@ def test_linear_witness_values_match_the_definitions():
             value = linear_equation_value(terms, P.grade, criterion, quantifier, w.component)
             assert value == w.value != 0, (name, criterion)
     assert failing == 6 * len(LINEAR)  # the six non-decomposable inputs
+
+
+def test_contraction_witness_values_match_the_definitions():
+    # Every failing contraction witness of the goldens and of their
+    # Fraction(1, 3)-scaled copies, exact at k = 2 and 3 and randomized,
+    # re-evaluated from its alphas on index tuples: phi by Leibniz minors,
+    # i(phi)P by basis contractions, then the improved equation at the
+    # witness's quantifier and component, value and type.
+    failing = 0
+    for name in INPUTS:
+        for P in (golden_input(name), golden_input(name) * Fraction(1, 3)):
+            terms = dict(P.items())
+            for k in (2, 3):
+                if 2 <= P.grade < k:
+                    continue
+                for opts in ({}, {"mode": "randomized", "trials": 6, "seed": 11, "bound": 4}):
+                    rep = CRITERIA["contraction"](P, k=k, **opts)
+                    if rep.verdict:
+                        continue
+                    failing += 1
+                    w = rep.witness
+                    *point, S = w.equation  # (t, alphas, S), or (S,) when k = s
+                    alphas = point[1] if point else ()
+                    value = contraction_witness_value(terms, P.grade, alphas, S, w.component)
+                    assert (value, type(value)) == (w.value, type(w.value)), (name, k, opts)
+                    assert value != 0, (name, k, opts)
+    assert failing == 6 * 2 * 2 * 2  # six non-decomposable inputs, two scales, k, modes
 
 
 def test_linear_criterion_json_is_golden(tmp_path, capsys):

@@ -4,26 +4,30 @@ verdict must be too.  A scaling by lam also keeps every count and witness
 position, in both contraction modes, and scales each witness value by
 lam**2."""
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from plk import (
     Multivector,
     contraction_criterion,
+    criteria,
     factorize,
     is_simple_oracle,
     kernel_dimension,
+    multivector,
     run_all_criteria,
     support_space,
+    young,
 )
-from plk.multivector import indices_of, mask_of
+from plk.multivector import _Contractions, indices_of, mask_of
 from plk.randgen import random_nonsimple, random_simple
 
 from util import rand_mv, seeded, sparse_rank
 
 # Fraction(1) makes an int input's twin with every coefficient Fraction(c, 1),
 # which multivector._cleared must hand on as ints, so every report, count and
-# witness of the twin equals the input's.
+# witness of the twin equals the input's, each witness value in type too.
 SCALES = (Fraction(1, 3), Fraction(5, 7), -2, Fraction(1))
 CELLS = [(4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 2), (7, 3), (7, 4), (4, 4)]
 RANDOMIZED = {"mode": "randomized", "trials": 8, "seed": 5, "bound": 7}
@@ -50,7 +54,8 @@ def verdicts(p):
 def assert_scaled(reports, scaled, lam):
     """The reports of lam * P against those of P: every verdict, count and
     witness position stays; a witness value scales by exactly lam**2 (each
-    equation is quadratic in P), except the oracle's, a rank, which stays."""
+    equation is quadratic in P), except the oracle's, a rank, which stays.
+    At lam == 1 each value keeps its type too (an int is not a Fraction)."""
     assert len(scaled) == len(reports)
     for rep, got in zip(reports, scaled):
         assert (got.criterion, got.verdict, got.equations_checked) == (
@@ -63,6 +68,8 @@ def assert_scaled(reports, scaled, lam):
         assert (v.equation, v.component) == (w.equation, w.component), (rep.criterion, lam)
         factor = 1 if rep.criterion == "oracle" else lam * lam
         assert v.value == factor * w.value, (rep.criterion, lam)
+        if lam == 1:
+            assert repr(v.value) == repr(w.value), (rep.criterion, lam)
 
 
 def test_signed_permutations_and_scalings_keep_every_verdict():
@@ -185,19 +192,22 @@ def test_hodge_complement_keeps_every_verdict():
             assert all(verdict == oracle for _, verdict in before), str(p)
 
 
+# A grade-4 Fraction input touching 1..8 whose optimal witness lies past the
+# first group of tableaux, pairs ((1, 1), (2, b)), at pairs ((1, 4), (3, 5)).
+PAST_FIRST_GROUP = Multivector(8, 4, {
+    mask_of((1, 3, 4, 5)): Fraction(2, 7),
+    mask_of((2, 3, 4, 5)): Fraction(1, 7),
+    mask_of((4, 5, 6, 8)): Fraction(-3, 2),
+    mask_of((4, 5, 7, 8)): -1,
+})
+
+
 def test_a_fraction_input_failing_past_the_first_optimal_group_keeps_its_pins():
     # The optimal test decides the tableaux after its first in groups that
-    # differ only in b_k.  This grade-4 input touches 1..8, so the first group
-    # is pairs ((1, 1), (2, b)); its optimal witness lies in a later one, at
-    # pairs ((1, 4), (3, 5)).  Every criterion fails with these counts,
-    # witness positions and values, and at every scale lam the positions and
-    # counts stay while each value scales by lam**2.
-    P = Multivector(8, 4, {
-        mask_of((1, 3, 4, 5)): Fraction(2, 7),
-        mask_of((2, 3, 4, 5)): Fraction(1, 7),
-        mask_of((4, 5, 6, 8)): Fraction(-3, 2),
-        mask_of((4, 5, 7, 8)): -1,
-    })
+    # differ only in b_k.  Every criterion fails on PAST_FIRST_GROUP with
+    # these counts, witness positions and values, and at every scale lam the
+    # positions and counts stay while each value scales by lam**2.
+    P = PAST_FIRST_GROUP
     reports = run_all_criteria(P)
     assert [
         (rep.criterion, rep.verdict, rep.equations_checked,
@@ -220,3 +230,45 @@ def test_a_fraction_input_failing_past_the_first_optimal_group_keeps_its_pins():
     for lam in SCALES:
         assert_scaled(reports, run_all_criteria(P * lam), lam)
         assert_scaled(randomized, [contraction_criterion(P * lam, **RANDOMIZED)], lam)
+
+
+def test_no_kernel_sees_a_fraction(monkeypatch):
+    # Every quadratic criterion clears P's denominators once, at its entry
+    # (multivector._cleared), and runs on the integer multiple lam * P: no
+    # term kernel below it, nor the contraction table behind it, is handed a
+    # Fraction coefficient, on passing and failing inputs at grades 2-5, in
+    # every mode of the contraction.
+    calls = {}
+
+    def ints_only(name, kernel):
+        def checked(*args):
+            for arg in args:
+                if isinstance(arg, _Contractions):
+                    arg = arg.terms
+                if isinstance(arg, Mapping):
+                    assert all(type(c) is int for c in arg.values()), (name, arg)
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+        return checked
+
+    kernels = [(criteria, "wedge_terms"), (criteria, "interior_terms"),
+               (young, "wedge_terms"), (young, "_square_terms"),
+               (multivector, "interior_terms"), (_Contractions, "interior")]
+    for owner, name in kernels:
+        monkeypatch.setattr(owner, name, ints_only(name, getattr(owner, name)))
+    rng = seeded(904)
+    inputs = [PAST_FIRST_GROUP]
+    for n, s in [(6, 2), (8, 2), (7, 3), (9, 3), (8, 4), (8, 5)]:
+        inputs += [random_simple(rng, n, s, 4), random_nonsimple(rng, n, s, 4),
+                   rand_mv(rng, n, s, bound=5, max_terms=3)]
+    verdicts = set()
+    for P in inputs:
+        for lam in (Fraction(1, 3), Fraction(-5, 7)):
+            Q = P * lam
+            reports = run_all_criteria(Q) + [contraction_criterion(Q, **RANDOMIZED)]
+            if Q.grade >= 3:
+                reports.append(contraction_criterion(Q, k=3))
+            verdicts.update((rep.criterion, rep.verdict) for rep in reports)
+    assert {name for _, name in kernels} <= set(calls)
+    # every criterion passed on some input and failed on another
+    assert verdicts == {(name, verdict) for name, _ in verdicts for verdict in (True, False)}

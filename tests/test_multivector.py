@@ -703,19 +703,23 @@ def test_projection_blocks_drop_cancelled_sums():
         d = {}
         cancelled = False
         lex = {}
-        for pairs, block, _ in lex_projection_blocks(P):
+        for pairs, block, denom in lex_projection_blocks(P):
             block = {mask_of(F): c for F, c in block.items()}
             ref, touched = _block_reference(P, pairs, d)
             assert all(block.values()), (str(P), pairs)
             assert block == ref, (str(P), pairs)
             cancelled |= bool(touched - set(block))
-            lex[pairs] = block
+            lex[pairs] = {m: Fraction(c, denom) for m, c in block.items()}
         assert cancelled, str(P)
-        # The library's blocks are those of the semistandard tableaux,
-        # restricted to the 4-subsets above the last pair's first index.
-        for pairs, block, _ in iter_projection_blocks(P):
+        # The library's projection coefficients, block[F] / denom on the
+        # integer multiple of P its blocks are sums on, are those of the
+        # semistandard tableaux, restricted to the 4-subsets above the last
+        # pair's first index.
+        for pairs, block, denom in iter_projection_blocks(P):
             low = (1 << pairs[-1][0]) - 1
-            assert block == {m: c for m, c in lex[pairs].items() if not m & low}, (str(P), pairs)
+            assert {m: Fraction(c, denom) for m, c in block.items()} == {
+                m: c for m, c in lex[pairs].items() if not m & low
+            }, (str(P), pairs)
 
 
 def _same_terms(a, b):

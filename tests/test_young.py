@@ -621,8 +621,10 @@ def test_packed_groups_yield_the_direct_blocks(monkeypatch):
         got = list(young.iter_projection_blocks(P))
         scan = _scan(P)
         denom = 3 * 2 ** (P.grade - 2)
-        assert [(p, {m: repr(c) for m, c in b.items()}, d) for p, b, d in got] == [
-            (p, {m: repr(c) for m, c in b.items()}, denom) for p, b in scan
+        # the projection coefficients block[F] / denom, whose blocks are on
+        # the integer multiple of P that multivector._cleared gives
+        assert [(p, {m: Fraction(c, d) for m, c in b.items()}) for p, b, d in got] == [
+            (p, {m: Fraction(c, denom) for m, c in b.items()}) for p, b in scan
         ], str(P)
         if not scan:
             assert direct == [], str(P)
