@@ -20,16 +20,20 @@ are all validated against:
 The four Pluecker-type criteria (classical, dual, improved, dual-improved)
 are linear in the quantified covector, so checking basis covectors in
 lexicographic order is exact; reports carry the first failing equation as a
-witness.  One sweep serves all four (``_sweep``).  It evaluates equations
-directly up to the first with a nonempty operand, where most failures stop;
-past it, one packed pass decides every equation as the primal equation at
-a packed covector (``_pair_sums``), the sum of 2^(w*j) * e^R over the
-quantifiers R: its big-int coefficients hold every basis equation in its
-own w-bit slot, 0 exactly when the equation is.  The first failing
-equation the pass names is then evaluated directly, so witnesses and counts
-are those of the one-at-a-time sweep.  Every criterion here but the oracle
-is quadratic in P and runs on lam * P, P's denominators cleared once at its
-entry (``_cleared``); only a witness value is divided back, by lam^2.
+witness.  One sweep decides all four (``_sweep``): it returns the first
+failing equation, or nothing, and each criterion forms its report once,
+the witness from that equation (``_witness``).  The contraction criterion
+runs the same sweep as its inner check, per point set, and forms the one
+witness of the failing set.  The sweep evaluates equations directly up to
+the first with a nonempty operand, where most failures stop; past it, one
+packed pass decides every equation as the primal equation at a packed
+covector (``_pair_sums``), the sum of 2^(w*j) * e^R over the quantifiers
+R: its big-int coefficients hold every basis equation in its own w-bit
+slot, 0 exactly when the equation is.  The first failing equation the pass
+names is then evaluated directly, so witnesses and counts are those of the
+one-at-a-time sweep.  Every criterion here but the oracle is quadratic in
+P and runs on lam * P, P's denominators cleared once at its entry
+(``_cleared``); only a witness value is divided back, by lam^2.
 Degenerate grades (0 and 1) are decomposable by convention, as is the zero
 multivector.
 """
@@ -168,18 +172,29 @@ _LINEAR = {
 }
 
 
-def _pluecker(P: Multivector, name: str) -> CriterionReport:
-    """The linear criterion ``name`` on a vector P: the sweep on its terms."""
+def _pluecker(
+    P: Multivector, name: str, criterion: str | None = None, seed: int | None = None
+) -> CriterionReport:
+    """The linear criterion ``name`` on a vector P, reported as ``criterion``
+    (default: ``name``) with ``seed``: one sweep of lam * P, one report."""
     require_vector(P, "P")
-    return _sweep(P.dim, P.grade, *_cleared(P.terms), name)
+    n, s = P.dim, P.grade
+    lam, ints = _cleared(P.terms)
+    failure = _sweep(s, ints, name)
+    if failure is None:
+        return CriterionReport(criterion or name, True, _count(n, s, name), seed=seed)
+    return CriterionReport(criterion or name, False, *_witness(n, lam, name, *failure), seed=seed)
 
 
-def _sweep(n: int, s: int, lam: int, terms: Mapping[int, int], name: str) -> CriterionReport:
-    """Shared sweep over the integer terms of lam * P, for a grade-s vector P
-    in dimension n: quantify over basis covectors of one grade, lex order.
+def _sweep(s: int, terms: Mapping[int, int], name: str) -> tuple[int, dict] | None:
+    """Decide the linear criterion ``name`` on the integer terms of a grade-s
+    vector: the first failing quantifier, as a mask, with the nonzero
+    components of its equation, or None when every equation holds.  The
+    quantifiers are the basis covectors of one grade, in lex order.  The
+    sweep builds no count, witness or report; ``_witness`` forms those, once.
 
     Covectors outside the indices P touches give zero equations (i(e^S)P needs
-    S in a term, i(i_P e^Q)P needs Q in two terms): counted by rank, not visited.
+    S in a term, i(i_P e^Q)P needs Q in two terms), so they are not visited.
 
     Equations are first evaluated one at a time, in lex order, up to and
     including the first whose operand is nonempty; most failures stop there.
@@ -196,19 +211,21 @@ def _sweep(n: int, s: int, lam: int, terms: Mapping[int, int], name: str) -> Cri
     (if head ^ tail = 0, tail = a ^ b for head = e_t ^ a, so tail ^ tail = 0).
 
     Once that equation passes and more quantifiers follow, one packed pass
-    (``_first_failure``) decides every equation at once and names the first
-    failing quantifier, if any: ``_pair_sums`` evaluates the primal equation
-    at a packed covector with one slot per quantifier, and the slots hold
-    every primal and dual equation.  The failing equation is then evaluated
-    directly, as above, so the witness and the count do not depend on the
-    packed pass; its value, quadratic in P, is divided by lam^2 here, once.
+    decides every equation at once: ``_pair_sums`` evaluates the primal
+    equation at a packed covector with one slot per quantifier, per chunk,
+    and the slots, 0 exactly where the equations' components are, hold
+    every primal and dual equation.  The primal's first failing S is the
+    lowest nonzero slot over all keys, found at the lowest set bit of each
+    sum, and the pass stops at the first chunk that holds one; the dual's
+    first failing Q is the lex-first key with a nonzero sum in any chunk.
+    The failing equation is then evaluated directly, as above, so what the
+    sweep returns, and the witness and count formed from it, do not depend
+    on the packed pass.
     """
     shift, dual = _LINEAR[name]
     if s < shift:
-        return CriterionReport(name, True, 0)
+        return None
     table = _Contractions(terms)
-    quant_grade, out_grade = (s + shift, s - shift) if dual else (s - shift, s + shift)
-    per_equation = comb0(n, out_grade)
     bits = [1 << (i - 1) for i in touched_indices(terms)]
     low = bits[0] if bits else 0
 
@@ -232,32 +249,46 @@ def _sweep(n: int, s: int, lam: int, terms: Mapping[int, int], name: str) -> Cri
             out[m] = out.get(m, 0) + c
         return _nonzero(out) or wedge_terms(a_tail, tail)
 
-    quantifiers = map(sum, combinations(bits, quant_grade))
-    out = {}
-    for Q in quantifiers:
-        a = operand(Q)
-        if a:
-            out = equation(Q, a)
-            # past a passing first equation, the packed pass, if a quantifier follows
-            if not out and next(quantifiers, None) is not None:
-                Q = _first_failure(terms, bits, s, shift, dual)
-                out = {} if Q is None else equation(Q, operand(Q))
-            break
-    if not out:
-        return CriterionReport(name, True, comb0(n, quant_grade) * per_equation)
+    quantifiers = map(sum, combinations(bits, s + shift if dual else s - shift))
+    Q, a = next(((q, a) for q in quantifiers if (a := operand(q))), (None, {}))
+    out = equation(Q, a) if a else {}
+    # past a passing first equation, the packed pass, if a quantifier follows
+    if not out and next(quantifiers, None) is not None:
+        failed: list[int] = []
+        for w, slots, sums in _pair_sums(terms, bits, s, shift):
+            if dual:
+                failed += [key for key, z in sums.items() if z]
+                continue
+            j = min((((z & -z).bit_length() - 1) // w for z in sums.values() if z), default=None)
+            if j is not None:
+                failed = [slots[j]]
+                break
+        Q = max(failed, key=_lsb_first, default=None)
+        out = {} if Q is None else equation(Q, operand(Q))
+    return (Q, out) if out else None
+
+
+def _witness(
+    n: int, lam: int, name: str, Q: int, out: Mapping[int, int], prefix: tuple = (), lead: str = ""
+) -> tuple[int, Witness]:
+    """The count and witness of the linear criterion ``name`` on lam * P in
+    dimension n, whose sweep failed first at Q with the equation ``out``.
+
+    The witness is the lex-first component of ``out``; its value, quadratic
+    in P, is divided by lam^2, so it is P's own.  The count is by rank: the
+    equations of the quantifiers before Q, C(n, out grade) each, plus those
+    of Q up to and including the witness.  The contraction criterion puts
+    its point set or trial in front, as ``prefix`` to the equation and
+    ``lead`` to the text.
+    """
     S = indices_of(Q)
     comp, val = _first_component(out)
     if lam > 1:
         val = Fraction(val, lam * lam)
-    checked = (subset_rank(S, n) - 1) * per_equation + subset_rank(comp, n)
+    checked = (subset_rank(S, n) - 1) * comb0(n, len(comp)) + subset_rank(comp, n)
     symbol = "Phi" if name == "classical" else "Psi"
-    witness = Witness(
-        equation=(S,),
-        component=comp,
-        value=val,
-        text=f"{symbol}=e^{{{_fmt(S)}}} -> component e_{{{_fmt(comp)}}} = {val}",
-    )
-    return CriterionReport(name, False, checked, witness)
+    text = f"{lead}{symbol}=e^{{{_fmt(S)}}} -> component e_{{{_fmt(comp)}}} = {val}"
+    return checked, Witness(prefix + (S,), comp, val, text)
 
 
 # Bits of pair sums the packed pass holds at once (2 MiB): keys x slot width
@@ -303,31 +334,6 @@ def _pair_sums(
         # contractions would add a call per slot and share nothing
         phi = {R: 1 << (w * j) for j, R in enumerate(chunk)}
         yield w, chunk, wedge_terms(interior_terms(phi, ints), ints)
-
-
-def _first_failure(
-    terms: Mapping[int, Coeff], bits: Sequence[int], s: int, d: int, dual: bool
-) -> int | None:
-    """The first failing quantifier, as a mask, of the linear criterion with
-    shift d and side ``dual`` on the grade-s P with these terms, or None when
-    every equation holds; ``bits`` are the indices P touches.
-
-    It reads ``_pair_sums``, the primal equation at a packed covector per
-    chunk, whose slots are 0 exactly where the equations' components are.
-    The primal's first failing S is the lowest nonzero slot over all keys,
-    found at the lowest set bit of each sum, and the pass stops at the
-    first chunk that holds one.  The dual's first failing Q is the
-    lex-first key with a nonzero sum in any chunk.
-    """
-    failed: list[int] = []
-    for w, slots, sums in _pair_sums(terms, bits, s, d):
-        if dual:
-            failed += [key for key, z in sums.items() if z]
-            continue
-        low = min((((z & -z).bit_length() - 1) // w for z in sums.values() if z), default=None)
-        if low is not None:
-            return slots[low]
-    return max(failed, key=_lsb_first, default=None)
 
 
 def classical_pluecker(P: Multivector) -> CriterionReport:
@@ -443,12 +449,14 @@ def contraction_criterion(
     i(phi)(lam * P) through one lazy table of the basis contractions of lam
     * P, the integer multiple ``_cleared`` gives, and check it with the
     improved relations, which decide decomposability for every k >= 2 (with
-    k = s, the improved sweep of P).  Each inner sweep divides its witness
-    value by lam^2, so the report is that of P itself.  ``equations_checked``
-    counts C(n,k-2)*C(n,k+2) per set or trial: on a pass, for all dim Y[m,m]
-    tableaux over 1..n or all trials; on a failure, for the t sets or trials
-    before the witness, plus the witness check's own.  The witness names the
-    failing set or trial by t, with its coordinate tuples ``alphas``.
+    k = s, the improved sweep of P).  The inner sweep only decides; the one
+    report is formed after it, with the witness of the failing set, whose
+    value ``_witness`` divides by lam^2, so it is P's own.
+    ``equations_checked`` counts C(n,k-2)*C(n,k+2) per set or trial: on a
+    pass, for all dim Y[m,m] tableaux over 1..n or all trials; on a failure,
+    for the t sets or trials before the witness, plus the witness check's
+    own.  The witness names the failing set or trial by t, with its
+    coordinate tuples ``alphas``.
     """
     require_vector(P, "P")
     if not _is_int(k) or k < 2:
@@ -472,12 +480,8 @@ def contraction_criterion(
     m = s - k
     exact = mode == "symbolic"
     report_seed = None if exact else seed
-    lam, ints = _cleared(P.terms)
     if m == 0:
-        sweep = _sweep(n, s, lam, ints, "improved")
-        return CriterionReport(
-            name, sweep.verdict, sweep.equations_checked, sweep.witness, seed=report_seed
-        )
+        return _pluecker(P, "improved", name, report_seed)
     if exact:
         label, shape = "point", young.TwoColumnShape(m, m)
         touched = touched_indices(P.terms)
@@ -486,20 +490,16 @@ def contraction_criterion(
     else:
         label = "trial"
         point_sets, total = _random_points(n, m, trials, seed, bound), trials
+    lam, ints = _cleared(P.terms)
     table = _Contractions(ints)
-    per = comb0(n, k - 2) * comb0(n, k + 2)
+    per = _count(n, k, "improved")
     for t, (points, phi) in enumerate(point_sets):
-        rep = _sweep(n, k, lam, table.interior(phi), "improved")
-        if not rep.verdict:
+        failure = _sweep(k, table.interior(phi), "improved")
+        if failure is not None:
             alphas = [tuple(a.get(1 << x, 0) for x in range(n)) for a in points]
-            witness = Witness(
-                equation=(t, tuple(alphas)) + rep.witness.equation,
-                component=rep.witness.component,
-                value=rep.witness.value,
-                text=f"{label} {t}, alphas={alphas}: {rep.witness.text}",
-            )
-            checked = t * per + rep.equations_checked
-            return CriterionReport(name, False, checked, witness, seed=report_seed)
+            lead = f"{label} {t}, alphas={alphas}: "
+            checked, witness = _witness(n, lam, "improved", *failure, (t, tuple(alphas)), lead)
+            return CriterionReport(name, False, t * per + checked, witness, seed=report_seed)
     return CriterionReport(name, True, total * per, probabilistic=not exact, seed=report_seed)
 
 
@@ -545,7 +545,7 @@ def optimal_component_test(P: Multivector) -> CriterionReport:
                 text=f"pairs=({pair_txt}), skew over e_{{{_fmt(comp)}}}: coefficient = {val}",
             )
             return CriterionReport("optimal", False, checked, witness)
-    return CriterionReport("optimal", True, equation_count(n, P.grade, "optimal"))
+    return CriterionReport("optimal", True, _count(n, P.grade, "optimal"))
 
 
 # -- rank oracle, factorization, families -----------------------------------------
@@ -573,12 +573,7 @@ def oracle_report(P: Multivector) -> CriterionReport:
     r = linalg.rank(_support_rows(P))
     if r == s:
         return CriterionReport("oracle", True, generators)
-    witness = Witness(
-        equation=("support-rank", r),
-        component=(),
-        value=r,
-        text=f"support rank {r} != grade {s}",
-    )
+    witness = Witness(("support-rank", r), (), r, f"support rank {r} != grade {s}")
     return CriterionReport("oracle", False, generators, witness)
 
 
@@ -646,6 +641,15 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     return [P.terms[pivots] * space.basis[0], *space.basis[1:]]
 
 
+def _count(n: int, s: int, criterion: str) -> int:
+    """The pass count of a linear criterion or the optimal test, for any
+    grade s >= 0: ``equation_count`` without its input checks."""
+    if criterion == "optimal":
+        return young.young_dim(n, young.TwoColumnShape(s + 2, s - 2)) if s >= 2 else 0
+    shift = _LINEAR[criterion][0]
+    return comb0(n, s - shift) * comb0(n, s + shift)
+
+
 def equation_count(n: int, s: int, criterion: str) -> int:
     """Number of scalar equations each criterion imposes on a grade-s
     multivector in dimension n.
@@ -660,14 +664,9 @@ def equation_count(n: int, s: int, criterion: str) -> int:
     check_dim(n)
     if not (_is_int(s) and 0 <= s <= n):
         raise InputError(f"need 0 <= s <= n, got s={s}, n={n}")
-    if criterion in _LINEAR:
-        shift = _LINEAR[criterion][0]
-        return comb0(n, s - shift) * comb0(n, s + shift)
-    if criterion == "optimal":
-        if s < 2:
-            return 0
-        return young.young_dim(n, young.TwoColumnShape(s + 2, s - 2))
-    raise InputError(f"unknown criterion {criterion!r}")
+    if criterion not in COUNTED:
+        raise InputError(f"unknown criterion {criterion!r}")
+    return _count(n, s, criterion)
 
 
 # -- families and the span/intersection dichotomy ---------------------------------

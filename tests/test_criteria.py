@@ -343,10 +343,31 @@ def test_contraction_exact_matches_oracle_beyond_k2():
 @pytest.mark.parametrize("mode", ("symbolic", "randomized"))
 @pytest.mark.parametrize("which_k", ("2", "3", "s"))
 @pytest.mark.parametrize("trial", range(4))
-def test_contraction_inner_check_is_improved_in_both_modes(trial, which_k, mode):
+def test_contraction_inner_check_is_improved_in_both_modes(trial, which_k, mode, monkeypatch):
     # Each contracted k-vector is checked with the improved relations: a pass
     # counts C(n,k-2)*C(n,k+2) equations per point set or trial (one check of
-    # P when k = s), and a witness names a (k-2)-covector.
+    # P when k = s), and a witness names a (k-2)-covector.  The inner checks
+    # only decide: each call forms one report, at k = s the improved one.
+    formed = []
+
+    class Counted(criteria.CriterionReport):
+        def __init__(self, *args, **kwargs):
+            formed.append(args)
+            super().__init__(*args, **kwargs)
+
+    def contraction(P):
+        improved = improved_pluecker(P)
+        monkeypatch.setattr(criteria, "CriterionReport", Counted)
+        formed.clear()
+        rep = contraction_criterion(P, k, mode, **opts)
+        monkeypatch.undo()
+        assert len(formed) == 1
+        assert rep.seed == (None if mode == "symbolic" else opts["seed"])
+        if k == s:  # the improved report but for the criterion name and the seed
+            same = ("verdict", "equations_checked", "witness", "probabilistic")
+            assert [getattr(rep, f) for f in same] == [getattr(improved, f) for f in same]
+        return rep
+
     rng = seeded(516, trial)
     n = rng.randint(5, 7)
     s = rng.randint(3, min(n - 2, 4))
@@ -358,10 +379,10 @@ def test_contraction_inner_check_is_improved_in_both_modes(trial, which_k, mode)
         sets = opts["trials"]
     else:  # one point set per tableau of Y[s-k, s-k]
         sets = young_dim(n, TwoColumnShape(s - k, s - k))
-    rep = contraction_criterion(random_simple(rng, n, s, 3), k, mode, **opts)
+    rep = contraction(random_simple(rng, n, s, 3))
     assert rep.verdict
     assert rep.equations_checked == sets * equation_count(n, k, "improved")
-    rep = contraction_criterion(random_nonsimple(rng, n, s, 3), k, mode, **opts)
+    rep = contraction(random_nonsimple(rng, n, s, 3))
     assert not rep.verdict
     assert len(rep.witness.equation[-1]) == k - 2
 
@@ -831,9 +852,10 @@ def test_family_validation():
 
 
 def test_zero_passes_everything():
-    z = Multivector.zero(5, 3)
-    for rep in run_all_criteria(z):
-        assert rep.verdict, rep.criterion
+    # also above its dim, where no criterion has an equation
+    for z in (Multivector.zero(5, 3), Multivector.zero(3, 5)):
+        for rep in run_all_criteria(z):
+            assert rep.verdict, rep.criterion
 
 
 def test_low_grades_always_simple():
