@@ -14,6 +14,9 @@ anything, so they live with the tests:
   criterion's equation at one component, Leibniz minors, and from them the
   value a contraction witness names, all on sorted index tuples with
   inversion-count signs (no bitmasks, no ``plk`` kernel);
+* the pivot lemma's decision of a k-vector's decomposability, as k wedges
+  v_i ^ omega of its contractions by the (k-1)-subsets of one of its
+  terms, on the same tuples and signs;
 * the duality identity tying the two Pluecker formulations together,
   which pins the interior-product sign conventions;
 * the r-subsets inside a multivector's terms, which index the generators
@@ -361,6 +364,29 @@ def linear_equation_value(
         for U, v in psi.items()
         if not set(U) & set(C)
     )
+
+
+def pivot_decomposable(terms: dict, k: int) -> bool:
+    """Whether the k-vector with the given terms, k >= 1, is decomposable, by
+    the pivot lemma: for a term I with a nonzero coefficient, each of the k
+    vectors v_i = i(e^(I - i))omega, i in I, wedges with omega to 0.  The
+    zero k-vector is decomposable.  v_i comes from ``basis_interior``, and
+    its wedge with omega sums v_j * omega_T * sign(j, T) into e_(j + T)."""
+    if any(len(T) != k for T in terms):
+        raise InputError(f"every term of a {k}-vector has {k} indices")
+    I = next((T for T, c in terms.items() if c), None)
+    if I is None:
+        return True
+    for i in I:
+        out: dict[tuple[int, ...], Coeff] = {}
+        for (j,), v in basis_interior(terms, _minus(I, (i,))).items():
+            for T, c in terms.items():
+                if j not in T:
+                    K = tuple(sorted((j, *T)))
+                    out[K] = out.get(K, 0) + inversion_sign((j,), T) * v * c
+        if any(out.values()):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,14 @@ from plk import (
 )
 from plk import criteria
 from plk.criteria import CRITERIA, run_criterion
-from plk.multivector import SupportSpace, _cleared, basis_subsets
+from plk.multivector import (
+    SupportSpace,
+    _cleared,
+    _Contractions,
+    basis_subsets,
+    indices_of,
+    touched_indices,
+)
 from plk.randgen import random_nonsimple, random_simple
 from plk.young import (
     TwoColumnShape,
@@ -50,8 +57,10 @@ from reference import (
     isotypic_probe,
     leibniz_minor,
     linear_equation_value,
+    pivot_decomposable,
     project_tensor_square,
 )
+from test_golden_criteria import INPUTS as GOLDEN_INPUTS
 from util import rand_mv, seeded, sparse_rank
 
 
@@ -385,6 +394,51 @@ def test_contraction_inner_check_is_improved_in_both_modes(trial, which_k, mode,
     rep = contraction(random_nonsimple(rng, n, s, 3))
     assert not rep.verdict
     assert len(rep.witness.equation[-1]) == k - 2
+
+
+def _contracted_sets(P, k):
+    """i(phi)(lam * P) at every exact point set of the contraction of P to
+    k-vectors, as the criterion's loop reads it."""
+    _, ints = _cleared(P.terms)
+    table = _Contractions(ints)
+    touched = touched_indices(ints)
+    shape = TwoColumnShape(P.grade - k, P.grade - k)
+    for _, phi in criteria._tableau_points(touched if len(touched) > P.grade + 1 else (), shape):
+        yield table.interior(phi)
+
+
+def test_pivot_decider_agrees_with_the_reference_and_the_sweep():
+    # Every exact point set of the k = 2 and k = 3 goldens, and of six
+    # non-decomposable inputs each at (8,4), (9,4) and (8,5): the library's
+    # pivot decider, the kernel-free lemma and the improved sweep agree.
+    inputs = [make() for make in GOLDEN_INPUTS.values()]
+    for n, s in ((8, 4), (9, 4), (8, 5)):
+        inputs += [random_nonsimple(seeded(532, n, s, i), n, s, 3) for i in range(6)]
+    seen = set()
+    for P in inputs:
+        for k in (2, 3):
+            if not 2 <= k < P.grade:
+                continue
+            for omega in _contracted_sets(P, k):
+                verdict = criteria._sweep(k, omega, "improved") is None
+                terms = {indices_of(m): c for m, c in omega.items()}
+                assert criteria._decomposable(k, omega) == verdict, (str(P), k, omega)
+                assert pivot_decomposable(terms, k) == verdict, (str(P), k, omega)
+                seen.add((k, verdict, bool(omega)))
+    # both verdicts at each k, and a zero set (which passes)
+    assert seen == {(2, True, True), (2, False, True), (3, True, True), (3, False, True), (2, True, False)}
+
+
+@pytest.mark.parametrize("mode", ("symbolic", "randomized"))
+@pytest.mark.parametrize("k", (2, 3))
+def test_contraction_raises_when_the_pivot_and_the_sweep_disagree(k, mode, monkeypatch):
+    # A set the pivot rejects goes to the improved sweep for its witness; a
+    # sweep that finds none is a bug, never a pass.
+    P = random_simple(seeded(533, k), 7, 4, 3)
+    assert contraction_criterion(P, k, mode).verdict
+    monkeypatch.setattr(criteria, "_decomposable", lambda *args: False)
+    with pytest.raises(InvariantViolation, match="disagree at (point|trial) 0"):
+        contraction_criterion(P, k, mode)
 
 
 # -- optimal component test ---------------------------------------------------------
