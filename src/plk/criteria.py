@@ -387,9 +387,10 @@ def _random_points(n, m, trials, seed, bound):
         yield points, reduce(wedge_terms, points)
 
 
-def _decomposable(k: int, omega: Mapping[int, int]) -> bool:
-    """Whether the integer k-vector omega, k >= 2, is decomposable, decided
-    by a pivot: a term I of omega, so omega_I != 0.  The zero k-vector is.
+def _pivot_vectors(omega: Mapping[int, int]) -> list[dict] | None:
+    """The vectors v_i of the pivot lemma for a nonzero integer k-vector
+    omega, k >= 1, when omega is decomposable, or None when it is not.  The
+    pivot is a term I of omega, so omega_I != 0.
 
     The lemma.  For i in I let v_i = i(e^(I - i))omega, a vector read from
     the table of omega's basis contractions, and W = v_1 ^ ... ^ v_k over I
@@ -407,11 +408,29 @@ def _decomposable(k: int, omega: Mapping[int, int]) -> bool:
     * It suffices.  omega is then omega_I / W_I times the wedge W of k
       vectors.
 
+    So the v_i of a decomposable omega span its support space U.  At k = 1,
+    v = i(e^{})omega = omega, and the condition holds.
+
     The same vectors give the lemma's other form, v_i ^ omega = 0 for each
     i: a nonzero v with v ^ omega = 0 divides omega, and k independent
     divisors make omega a multiple of their wedge.  Comparing omega with W
     costs the wedge of k vectors, not k wedges with omega, so it is the form
-    used at k >= 3.
+    used.
+    """
+    I = next(iter(omega))
+    table = _Contractions(omega)
+    vectors = [table[I ^ 1 << (i - 1)] for i in indices_of(I)]
+    W = reduce(wedge_terms, vectors)
+    w, o = W.get(I, 0), omega[I]
+    if len(W) == len(omega) and all(w * c == o * W.get(m, 0) for m, c in omega.items()):
+        return vectors
+    return None
+
+
+def _decomposable(k: int, omega: Mapping[int, int]) -> bool:
+    """Whether the integer k-vector omega, k >= 2, is decomposable, decided
+    by a pivot: a term I of omega, so omega_I != 0.  The zero k-vector is.
+    At k >= 3 the pivot lemma decides (``_pivot_vectors``).
 
     At k = 2, with I = {a, b}, write omega = omega_I e_a ^ e_b + A + B + R:
     A the terms that hold a but not b, B those that hold b but not a, R
@@ -440,10 +459,7 @@ def _decomposable(k: int, omega: Mapping[int, int]) -> bool:
             else:
                 R[m] = c
         return wedge_terms(A, B) == wedge_terms({I: -omega[I]}, R)
-    table = _Contractions(omega)
-    W = reduce(wedge_terms, [table[I ^ 1 << (i - 1)] for i in indices_of(I)])
-    w, o = W.get(I, 0), omega[I]
-    return len(W) == len(omega) and all(w * c == o * W.get(m, 0) for m, c in omega.items())
+    return _pivot_vectors(omega) is not None
 
 
 def _tableau_points(indices, shape):
@@ -680,34 +696,41 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     multivector yields grade-1 zero factors; grade 0 has no vector factors
     and raises InputError.
 
-    The factors are P's reduced support basis, the first scaled by P's
-    coefficient at the basis pivots, where the basis wedge is 1.  The check
-    that they wedge to P runs in integers: each basis vector cleared of its
-    denominators, the vectors wedge to W = D * (basis wedge), D the product
-    of their scales, so the check is c * W == D * P', for P' the integer
-    multiple of P that ``_cleared`` gives and c its pivot coefficient.  A
-    mismatch raises InvariantViolation.
+    P is decided and factored from one pivot term I of lam * P, the integer
+    multiple that ``_cleared`` gives: the s vectors v_i = i(e^(I - i))(lam * P),
+    i in I, with the lemma of ``_pivot_vectors``, which returns None when
+    P is not decomposable.  When it is, the v_i span its support space, so
+    the reduced row echelon form of their s rows is P's reduced support
+    basis, the one ``support_space`` gives; no other support row is built.
+    The factors are that basis, the first scaled by P's coefficient at the
+    basis pivots, where the basis wedge is 1.  The check that they wedge to
+    P runs in integers: each basis vector cleared of its denominators, the
+    vectors wedge to W = D * (basis wedge), D the product of their scales,
+    so the check is c * W == D * (lam * P), c the pivot coefficient of
+    lam * P.  A mismatch raises InvariantViolation.
     """
     require_vector(P, "P")
-    s = P.grade
+    n, s = P.dim, P.grade
     if s == 0:
         raise InputError("a grade-0 multivector has no vector factors")
     if P.is_zero():
-        return [Multivector.zero(P.dim, 1) for _ in range(s)]
-    space = support_space(P)
-    if space.rank != s:
+        return [Multivector.zero(n, 1) for _ in range(s)]
+    _, p_terms = _cleared(P.terms)
+    vectors = _pivot_vectors(p_terms)
+    if vectors is None:
         return None
-    pivots = sum(min(v.terms) for v in space.basis)  # RREF: the basis wedge is 1 here
-    scale, wedged = _cleared(space.basis[0].terms)
-    for v in space.basis[1:]:
+    reduced, _ = linalg.rref([[v.get(1 << i, 0) for i in range(n)] for v in vectors])
+    basis = [Multivector(n, 1, {1 << i: c for i, c in enumerate(row) if c}) for row in reduced]
+    pivots = sum(min(v.terms) for v in basis)  # RREF: the basis wedge is 1 here
+    scale, wedged = _cleared(basis[0].terms)
+    for v in basis[1:]:
         d, terms = _cleared(v.terms)
         scale *= d
         wedged = wedge_terms(wedged, terms)
-    _, p_terms = _cleared(P.terms)
     c = p_terms.get(pivots, 0)
     if {m: c * w for m, w in wedged.items()} != {m: scale * x for m, x in p_terms.items()}:
         raise InvariantViolation("factor recovery produced a mismatched wedge")
-    return [P.terms[pivots] * space.basis[0], *space.basis[1:]]
+    return [P.terms[pivots] * basis[0], *basis[1:]]
 
 
 def _count(n: int, s: int, criterion: str) -> int:

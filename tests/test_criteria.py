@@ -35,7 +35,6 @@ from plk import (
 from plk import criteria
 from plk.criteria import CRITERIA, run_criterion
 from plk.multivector import (
-    SupportSpace,
     _cleared,
     _Contractions,
     basis_subsets,
@@ -61,6 +60,8 @@ from reference import (
     project_tensor_square,
 )
 from test_golden_criteria import INPUTS as GOLDEN_INPUTS
+from test_golden_elimination import CASES as ELIMINATION_CASES
+from test_golden_elimination import golden_input as golden_elimination_input
 from util import rand_mv, seeded, sparse_rank
 
 
@@ -562,16 +563,72 @@ def test_factorize_zero_and_scalar():
 def test_factorize_check_fires_on_a_wrong_basis(monkeypatch):
     # factorize checks the wedge of its factors against P: a rank-s basis
     # whose wedge is not a multiple of P raises, a right one with Fraction
-    # entries does not.
+    # entries does not.  Each basis is injected as the reduced rows that
+    # factorize reads from linalg.rref.
     q = Fraction(5, 7)
     p = q * wedge(e(4, 1) + Fraction(1, 2) * e(4, 3), e(4, 2) + Fraction(2, 3) * e(4, 4))
+
+    def reduced(basis):
+        rows = [[v.coeff((i,)) for i in range(1, 5)] for v in basis]
+        pivots = [min(v.terms).bit_length() - 1 for v in basis]
+        return lambda _rows: (rows, pivots)
+
     for basis in ([e(4, 1), e(4, 2)], [e(4, 1), e(4, 3)], [e(4, 1), 2 * e(4, 2)]):
-        monkeypatch.setattr(criteria, "support_space", lambda P, b=basis: SupportSpace(4, tuple(b)))
+        monkeypatch.setattr(criteria.linalg, "rref", reduced(basis))
         with pytest.raises(InvariantViolation, match="mismatched wedge"):
             factorize(p)
     right = (e(4, 1) + Fraction(1, 2) * e(4, 3), e(4, 2) + Fraction(2, 3) * e(4, 4))
-    monkeypatch.setattr(criteria, "support_space", lambda P: SupportSpace(4, right))
+    monkeypatch.setattr(criteria.linalg, "rref", reduced(right))
     assert factorize(p) == [q * right[0], right[1]]
+
+
+def reference_factors(P):
+    """P's factors by the support space: its reduced basis, the first scaled
+    by P's coefficient at the basis pivots; None when the rank oracle
+    fails."""
+    if not oracle_report(P).verdict:
+        return None
+    basis = support_space(P).basis
+    pivots = sum(min(v.terms) for v in basis)
+    return [P.terms[pivots] * basis[0], *basis[1:]]
+
+
+def test_factorize_agrees_with_the_support_space():
+    # factorize decides and factors P from one pivot term's s contractions;
+    # the reference reduces every support row and asks the oracle.  Factors
+    # (and their coefficient types) agree on decomposable inputs, and
+    # factorize returns None exactly when the oracle fails.
+    inputs = [make() for make in GOLDEN_INPUTS.values()]
+    inputs += [golden_elimination_input(*case) for case in ELIMINATION_CASES]
+    for n, s in ((6, 3), (7, 3), (8, 4), (9, 4), (8, 5)):
+        for i in range(4):
+            rng = seeded(534, n, s, i)
+            inputs += [
+                random_nonsimple(rng, n, s, 3),
+                rand_mv(rng, n, s, bound=4, max_terms=4),
+                random_simple(rng, n, s, 4) * Fraction(-2, 7),
+                rand_mv(rng, n, s, bound=4, max_terms=6, rational=True),
+            ]
+    for n in range(1, 7):
+        inputs += [random_simple(seeded(535, n), n, 1, 3), random_simple(seeded(536, n), n, n, 3)]
+    inputs += [
+        Multivector(6, 3, {0b101010: Fraction(-3, 4)}),  # one term
+        e(6, 1, 2, 3) + e(6, 4, 5, 6),  # the first term's v_i are +-e_1, +-e_2, +-e_3
+        e(6, 1, 2, 3) + e(6, 1, 2, 4) - 3 * e(6, 1, 2, 6),  # e_1, e_2 and a sparse v_3
+        e(6, 1, 2, 3) + e(6, 1, 4, 5),  # not decomposable, with sparse v_i
+    ]
+    verdicts = set()
+    for P in inputs:
+        if P.grade == 0:
+            continue
+        got, want = factorize(P), reference_factors(P)
+        assert (got is None) == (want is None) == (not oracle_report(P).verdict), str(P)
+        if want is not None:
+            assert got == want, str(P)
+            types = [sorted((m, type(c)) for m, c in f.terms.items()) for f in got]
+            assert types == [sorted((m, type(c)) for m, c in f.terms.items()) for f in want]
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_from_factors_examples():
