@@ -65,7 +65,6 @@ from .multivector import (
     interior_terms,
     require_vector,
     subset_rank,
-    support_space,
     touched_indices,
     wedge,
     wedge_terms,
@@ -389,7 +388,7 @@ def _random_points(n, m, trials, seed, bound):
 
 def _pivot_vectors(omega: Mapping[int, int]) -> list[dict] | None:
     """The vectors v_i of the pivot lemma for a nonzero integer k-vector
-    omega, k >= 1, when omega is decomposable, or None when it is not.  The
+    omega, k >= 0, when omega is decomposable, or None when it is not.  The
     pivot is a term I of omega, so omega_I != 0.
 
     The lemma.  For i in I let v_i = i(e^(I - i))omega, a vector read from
@@ -409,7 +408,7 @@ def _pivot_vectors(omega: Mapping[int, int]) -> list[dict] | None:
       vectors.
 
     So the v_i of a decomposable omega span its support space U.  At k = 1,
-    v = i(e^{})omega = omega, and the condition holds.
+    v = omega; at k = 0 there are none, and W = 1, where the wedge starts.
 
     The same vectors give the lemma's other form, v_i ^ omega = 0 for each
     i: a nonzero v with v ^ omega = 0 divides omega, and k independent
@@ -420,7 +419,7 @@ def _pivot_vectors(omega: Mapping[int, int]) -> list[dict] | None:
     I = next(iter(omega))
     table = _Contractions(omega)
     vectors = [table[I ^ 1 << (i - 1)] for i in indices_of(I)]
-    W = reduce(wedge_terms, vectors)
+    W = reduce(wedge_terms, vectors, {0: 1})
     w, o = W.get(I, 0), omega[I]
     if len(W) == len(omega) and all(w * c == o * W.get(m, 0) for m, c in omega.items()):
         return vectors
@@ -719,9 +718,9 @@ def factorize(P: Multivector) -> list[Multivector] | None:
     vectors = _pivot_vectors(p_terms)
     if vectors is None:
         return None
-    reduced, _ = linalg.rref([[v.get(1 << i, 0) for i in range(n)] for v in vectors])
+    reduced, cols = linalg.rref([[v.get(1 << i, 0) for i in range(n)] for v in vectors])
     basis = [Multivector(n, 1, {1 << i: c for i, c in enumerate(row) if c}) for row in reduced]
-    pivots = sum(min(v.terms) for v in basis)  # RREF: the basis wedge is 1 here
+    pivots = sum(1 << c for c in cols)  # RREF: the basis wedge is 1 here
     scale, wedged = _cleared(basis[0].terms)
     for v in basis[1:]:
         d, terms = _cleared(v.terms)
@@ -811,14 +810,18 @@ def three_plane_check(family: DecomposableFamily) -> ThreePlaneBranch:
 
     For every valid family of k-vectors, either the joint span of the support
     spaces has dimension at most k+1, or their common intersection has
-    dimension at least k-1.  Returns which bound holds (or BOTH); a family
-    satisfying neither would contradict the underlying lemma and raises
-    InvariantViolation.  The span's dimension is the rank of all support
-    rows; the common intersection is taken once over all members, as the
-    complement of the sum of their complements.
+    dimension at least k-1.  Returns which bound holds (or BOTH).  Each
+    member p is decomposable, so the k pivot rows of lam * p span its
+    support (``_pivot_vectors``); the span's dimension is their joint rank,
+    and the intersection, taken once, the complement of the complements' sum.
+    A family with neither bound, or a member the lemma rejects, raises
+    InvariantViolation.
     """
-    k = family.grade
-    rows = [support_space(p).coordinate_rows() for p in family.members]
+    k, n = family.grade, family.dim
+    supports = [_pivot_vectors(_cleared(p.terms)[1]) for p in family.members]
+    if None in supports:
+        raise InvariantViolation("the pivot lemma rejects a decomposable family member")
+    rows = [[[v.get(1 << i, 0) for i in range(n)] for v in vs] for vs in supports]
     span_dim = linalg.rank([row for member in rows for row in member])
     inter_dim = len(linalg.intersect_row_spaces(*rows))
     span_ok = span_dim <= k + 1

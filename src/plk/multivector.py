@@ -520,7 +520,7 @@ def interior(phi: Multivector, p: Multivector) -> Multivector:
 
 
 class SupportSpace(_Record):
-    """Row-echelon basis of the minimal subspace U with p in Lambda^grade(U)."""
+    """Reduced row-echelon basis, as vectors, of the minimal U with p in Lambda^grade(U)."""
 
     __slots__ = ("dim", "basis")
 
@@ -531,9 +531,6 @@ class SupportSpace(_Record):
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def coordinate_rows(self) -> list[list[Coeff]]:
-        return [[v.terms.get(1 << i, 0) for i in range(self.dim)] for v in self.basis]
 
 
 def _support_rows(p: Multivector) -> list[list[Coeff]]:

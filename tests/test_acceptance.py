@@ -40,7 +40,7 @@ from plk.randgen import (
 )
 
 from reference import duality_identity_check, isotypic_probe
-from util import rand_mv, seeded
+from util import rand_mv, seeded, support_space_branch
 
 MAIN_PAIRS = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)]
 RANDOM_PER_PAIR = 1000
@@ -272,6 +272,18 @@ def test_criterion_8_three_plane_dichotomy():
     )
     assert three_plane_check(fam) == ThreePlaneBranch.SPAN_BOUND
     print(f"\n[criterion 8] PASS - dichotomy held for {checked} families plus both examples")
+
+
+def test_criterion_8_branches_match_the_support_space_reference():
+    # the families of criterion 8, decided from each member's pivot rows and
+    # from its support_space basis
+    for k in (2, 3):
+        rng = seeded(8, k)
+        for i in range(60):
+            size = rng.randint(3, 5)
+            draw = _family_common_intersection if i % 2 == 0 else _family_common_span
+            fam = draw(rng, k, k + 3, size)
+            assert three_plane_check(fam) == support_space_branch(fam), fam
 
 
 def test_criterion_9_kernel_cross_oracle():

@@ -1,6 +1,7 @@
 """CLI integration: exit codes, golden lines, determinism, file errors."""
 
 import json
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -444,6 +445,25 @@ def test_family_singleton_both(tmp_path, capsys):
     members = [Multivector.basis(4, (1, 2, 3))]
     code, out, _ = run_cli(capsys, "family", family_file(tmp_path, members))
     assert code == 0 and out.strip() == "branch: both"
+
+
+def test_family_grade_zero_both(tmp_path, capsys):
+    members = [Multivector.scalar(4, 3), Multivector.scalar(4, Fraction(-1, 2))]
+    code, out, _ = run_cli(capsys, "family", family_file(tmp_path, members))
+    assert code == 0 and out.strip() == "branch: both"
+
+
+def test_family_fraction_scaled(tmp_path, capsys):
+    members = [Fraction(2, 3) * Multivector.basis(4, (1, k)) for k in (2, 3, 4)]
+    code, out, _ = run_cli(capsys, "family", family_file(tmp_path, members))
+    assert code == 0 and out.strip() == "branch: intersection-bound"
+
+
+def test_family_pivot_disagreement_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("plk.criteria._pivot_vectors", lambda omega: None)
+    members = [Multivector.basis(4, (1, k)) for k in (2, 3, 4)]
+    code, out, err = run_cli(capsys, "family", family_file(tmp_path, members))
+    assert (code, out) == (3, "") and "pivot lemma rejects" in err
 
 
 def test_family_invalid_names_offender(tmp_path, capsys):

@@ -62,7 +62,7 @@ from reference import (
 from test_golden_criteria import INPUTS as GOLDEN_INPUTS
 from test_golden_elimination import CASES as ELIMINATION_CASES
 from test_golden_elimination import golden_input as golden_elimination_input
-from util import rand_mv, seeded, sparse_rank
+from util import rand_mv, random_family, seeded, sparse_rank, support_space_branch
 
 
 def e(dim, *idx, dual=False):
@@ -942,6 +942,39 @@ def test_three_plane_common_span():
 def test_three_plane_singleton_both():
     family = DecomposableFamily((e(4, 1, 2, 3),))
     assert three_plane_check(family) == ThreePlaneBranch.BOTH
+
+
+@pytest.mark.parametrize("kind", ("common", "hyperplane"))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_three_plane_matches_the_support_space_reference(k, kind):
+    # Each member's support read from its k pivot rows gives the branch its
+    # support_space basis gives, on Fraction-scaled members and members
+    # whose pivot term has sparse v_i.
+    rng = seeded(341, k, kind == "common")
+    for _ in range(10):
+        family = random_family(rng, rng.randint(k + 3, 9), k, kind, rng.randint(2, 5))
+        assert three_plane_check(family) == support_space_branch(family), family
+
+
+def test_three_plane_grades_zero_and_one():
+    # The lemma's wedge starts at the unit: a nonzero scalar passes with no
+    # vectors, so a grade-0 family has both bounds.
+    for c in (1, -3, 7):
+        assert criteria._pivot_vectors({0: c}) == []
+    scalars = DecomposableFamily((Multivector.scalar(4, 3), Multivector.scalar(4, Fraction(-1, 2))))
+    assert three_plane_check(scalars) == ThreePlaneBranch.BOTH
+    lines = DecomposableFamily((e(5, 1), e(5, 2), Fraction(2, 3) * (e(5, 1) + e(5, 3))))
+    assert three_plane_check(lines) == ThreePlaneBranch.INTERSECTION_BOUND
+    assert three_plane_check(DecomposableFamily((e(5, 1), e(5, 2)))) == ThreePlaneBranch.BOTH
+
+
+def test_three_plane_raises_when_the_pivot_lemma_rejects_a_member(monkeypatch):
+    # Every member is decomposable by the oracle, so a member the lemma
+    # rejects is a bug, never a branch.
+    family = DecomposableFamily((e(4, 1, 2), e(4, 1, 3), e(4, 1, 4)))
+    monkeypatch.setattr(criteria, "_pivot_vectors", lambda omega: None)
+    with pytest.raises(InvariantViolation, match="pivot lemma rejects"):
+        three_plane_check(family)
 
 
 def test_family_validation():

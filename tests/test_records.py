@@ -191,7 +191,7 @@ def test_str_and_properties_survive():
     assert str(SHAPE) == "Y[3,1]"
     assert not IDENTITY.ok and DimensionIdentity("y", 2, 2).ok
     assert not SQUARE.passed and verify_square_decomposition(4, 2).passed
-    assert SPACE.rank == 2 and SPACE.coordinate_rows() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert SPACE.rank == 2 and [v.terms for v in SPACE.basis] == [{1: 1}, {2: 1}]
     assert (FAMILY.dim, FAMILY.grade) == (4, 2)
 
 

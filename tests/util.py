@@ -8,7 +8,8 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
-from plk import Multivector, wedge
+from plk import DecomposableFamily, Multivector, ThreePlaneBranch, from_factors, support_space, wedge
+from plk import linalg
 from plk.linalg import Coeff
 from plk.multivector import basis_subsets, mask_of
 
@@ -108,3 +109,69 @@ def seeded(*parts) -> random.Random:
     for p in parts:
         acc = acc * 1_000_003 + p
     return random.Random(acc)
+
+
+def support_space_branch(family: DecomposableFamily) -> ThreePlaneBranch | None:
+    """The three-plane branch read from each member's ``support_space``
+    basis rather than from the pivot lemma: the span's dimension is the rank
+    of all basis rows, the common intersection that of their row spaces.
+    None when neither bound holds."""
+    k, n = family.grade, family.dim
+    rows = [
+        [[v.terms.get(1 << i, 0) for i in range(n)] for v in support_space(p).basis]
+        for p in family.members
+    ]
+    span_ok = linalg.rank([row for member in rows for row in member]) <= k + 1
+    inter_ok = len(linalg.intersect_row_spaces(*rows)) >= k - 1
+    return {
+        (True, True): ThreePlaneBranch.BOTH,
+        (True, False): ThreePlaneBranch.SPAN_BOUND,
+        (False, True): ThreePlaneBranch.INTERSECTION_BOUND,
+    }.get((span_ok, inter_ok))
+
+
+def _sparse_first(p: Multivector) -> Multivector:
+    """p with its terms reordered so the first (the pivot term) shares k - 1
+    indices with the fewest other terms: its pivot vectors v_i are sparse."""
+    def near(term):
+        return sum((term[0] ^ o).bit_count() == 2 for o in p.terms)
+
+    return Multivector(p.dim, p.grade, dict(sorted(p.terms.items(), key=near)))
+
+
+def random_family(rng: random.Random, n: int, k: int, kind: str, size: int = 4) -> DecomposableFamily:
+    """A valid family of ``size`` decomposable k-vectors, k >= 1.
+
+    ``common``: A ^ v for one (k-1)-blade A, so the common intersection has
+    dimension at least k-1; ``hyperplane``: k-vectors inside one
+    (k+1)-space, so the joint span has dimension at most k+1.  Each member
+    has its terms shuffled or its sparsest pivot term put first, and some
+    are scaled by a Fraction.
+    """
+    def vectors(count):
+        while True:
+            vs = [Multivector(n, 1, {1 << i: rng.randint(-4, 4) for i in range(n)}) for _ in range(count)]
+            if count == 0 or not from_factors(vs).is_zero():
+                return vs
+
+    if kind == "common":
+        base = vectors(k - 1)
+        draw = lambda: base + vectors(1)
+    else:
+        span = vectors(k + 1)
+        draw = lambda: [sum((rng.randint(-3, 3) * b for b in span), Multivector.zero(n, 1)) for _ in range(k)]
+    members = []
+    while len(members) < size:
+        p = from_factors(draw())
+        if p.is_zero():
+            continue
+        if rng.random() < 0.5:
+            items = list(p.terms.items())
+            rng.shuffle(items)
+            p = Multivector(n, k, dict(items))
+        else:
+            p = _sparse_first(p)
+        if rng.random() < 0.4:
+            p = p * Fraction(rng.choice((1, -2, 5)), rng.choice((3, 4, 7)))
+        members.append(p)
+    return DecomposableFamily(members)
